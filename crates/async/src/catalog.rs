@@ -1,153 +1,39 @@
-//! The asynchronous lock catalog: `async.*` keys.
-//!
-//! Every **asyncable** entry of the exclusive catalog
-//! (`hemlock_locks::catalog`, [`LockMeta::asyncable`] — in practice the
-//! abortable subset) gains an asynchronous counterpart here under the same
-//! key with an `async.` prefix: `"async.hemlock"`, `"async.mcs"`,
-//! `"async.ticket"`, …. Each entry builds a [`DynAsyncLock`] handle — a
-//! waker-parking queue guarded by that algorithm — for the
-//! runtime-selection layer ([`DynAsyncMutex`]), and
-//! [`with_async_lock_type`] offers the usual zero-cost static dispatch for
-//! benchmark loops (`asyncbench`).
-//!
-//! CLH and Anderson have **no** `async.*` entry, for the same reason they
-//! have no timed path: a waiter that cannot withdraw cannot back a
-//! cancel-safe future, and a guard whose unlock is a commitment has no
-//! business under a queue that must stay cheap to abort. The conformance
-//! suite asserts the `async.*` key set equals the abortable subset
-//! exactly.
+//! The async view of the lock catalog (`hemlock_locks::catalog`):
+//! `async.*` selectors. Every **asyncable** row ([`LockMeta::asyncable`],
+//! in practice the abortable subset — not CLH or Anderson, whose waiters
+//! cannot withdraw and so cannot back a cancel-safe future) has an async
+//! face: a [`DynAsyncLock`] waker queue guarded by the row's lock. Its
+//! static type is the guard itself, so static dispatch is
+//! `with_try_lock_type`; this module adds the dynamic factory and
+//! re-exports what resolving a selector needs.
 
 use crate::dynasync::{boxed_async, DynAsyncLock, DynAsyncMutex};
 use hemlock_core::meta::LockMeta;
-use hemlock_core::raw::{RawLock, RawTryLock};
+use hemlock_core::raw::RawTryLock;
+pub use hemlock_locks::catalog::{
+    keys, resolve, resolve_list, view, with_try_lock_type, CatalogEntry, Selection, TryLockVisitor,
+    View,
+};
 
-/// Re-exports of every type the [`for_each_async_lock!`](crate::for_each_async_lock)
-/// expansion names, so callers need no direct dependency on `hemlock-core`
-/// / `hemlock-locks`.
-pub mod types {
-    pub use hemlock_core::hemlock::{
-        Hemlock, HemlockAh, HemlockChain, HemlockInstrumented, HemlockNaive, HemlockOverlap,
-        HemlockParking, HemlockV1, HemlockV2,
-    };
-    pub use hemlock_locks::{McsLock, TasLock, TicketLock, TtasLock};
-    pub use hemlock_obs::ObservedHemlock;
-}
-
-/// Invokes a callback macro with the full async catalog: a comma-separated
-/// list of `(key, [aliases…], Type)` tuples — the asyncable (= abortable)
-/// subset of the exclusive catalog, each key prefixed `async.`. This is
-/// the single source of truth for the `async.*` entries; the entry table,
-/// the static dispatcher, and the conformance suite are generated from it.
-#[macro_export]
-macro_rules! for_each_async_lock {
-    ($cb:path) => {
-        $cb! {
-            ("async.hemlock", ["async.hemlock.ctr"], $crate::catalog::types::Hemlock),
-            ("async.hemlock.naive", [], $crate::catalog::types::HemlockNaive),
-            ("async.hemlock.overlap", [], $crate::catalog::types::HemlockOverlap),
-            ("async.hemlock.ah", [], $crate::catalog::types::HemlockAh),
-            ("async.hemlock.v1", [], $crate::catalog::types::HemlockV1),
-            ("async.hemlock.v2", [], $crate::catalog::types::HemlockV2),
-            ("async.hemlock.parking", [], $crate::catalog::types::HemlockParking),
-            ("async.hemlock.chain", [], $crate::catalog::types::HemlockChain),
-            ("async.hemlock.instr", [], $crate::catalog::types::HemlockInstrumented),
-            ("async.obs.hemlock", ["async.hemlock.obs"], $crate::catalog::types::ObservedHemlock),
-            ("async.mcs", [], $crate::catalog::types::McsLock),
-            ("async.ticket", [], $crate::catalog::types::TicketLock),
-            ("async.tas", [], $crate::catalog::types::TasLock),
-            ("async.ttas", [], $crate::catalog::types::TtasLock),
+/// Builds a fresh, idle, type-erased waker queue guarded by `entry`'s
+/// algorithm; `None` when the async view does not cover the row.
+pub fn make(entry: &CatalogEntry) -> Option<Box<dyn DynAsyncLock>> {
+    struct Make;
+    impl TryLockVisitor for Make {
+        type Output = Box<dyn DynAsyncLock>;
+        fn visit<L: RawTryLock + 'static>(self, _meta: LockMeta) -> Self::Output {
+            boxed_async::<L>()
         }
-    };
-}
-
-/// One async catalog entry: a stable key, spelling aliases, the guard
-/// algorithm's metadata, and a factory for runtime async-lock handles.
-#[derive(Debug)]
-pub struct AsyncCatalogEntry {
-    /// Canonical selector key (`--lock` spelling), e.g. `"async.hemlock"`.
-    pub key: &'static str,
-    /// Alternate accepted spellings.
-    pub aliases: &'static [&'static str],
-    /// The guard algorithm's descriptor (identical to the static type's
-    /// `META`; an `AsyncMutex` over Hemlock is still the Hemlock
-    /// algorithm, so the display name is not patched).
-    pub meta: LockMeta,
-    /// Builds a fresh, idle, type-erased waker queue on this algorithm.
-    pub make: fn() -> Box<dyn DynAsyncLock>,
-}
-
-impl AsyncCatalogEntry {
-    /// True when `name` selects this entry: matches the key or an alias,
-    /// ASCII-case-insensitively. (Display names are *not* matched here —
-    /// they belong to the exclusive catalog's entries.)
-    pub fn matches(&self, name: &str) -> bool {
-        self.key.eq_ignore_ascii_case(name)
-            || self.aliases.iter().any(|a| a.eq_ignore_ascii_case(name))
     }
-}
-
-macro_rules! gen_async_entries {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty)),+ $(,)?) => {
-        /// Every asynchronous lock entry, in catalog order (the Hemlock
-        /// family first, then the asyncable baselines).
-        pub static ENTRIES: &[AsyncCatalogEntry] = &[
-            $(AsyncCatalogEntry {
-                key: $key,
-                aliases: &[$($alias),*],
-                meta: <$ty as RawLock>::META,
-                make: boxed_async::<$ty>,
-            }),+
-        ];
-    };
-}
-for_each_async_lock!(gen_async_entries);
-
-/// Looks up one entry by key or alias (case-insensitive).
-pub fn find(name: &str) -> Option<&'static AsyncCatalogEntry> {
-    ENTRIES.iter().find(|e| e.matches(name.trim()))
-}
-
-/// Resolves a comma-separated selector list (the `--lock` argument) to
-/// async entries, preserving order and rejecting unknown or duplicate
-/// names with a message that lists the valid keys.
-pub fn resolve_list(list: &str) -> Result<Vec<&'static AsyncCatalogEntry>, String> {
-    let mut out: Vec<&'static AsyncCatalogEntry> = Vec::new();
-    for name in list.split(',') {
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!(
-                "empty lock name in {list:?}; expected a comma-separated subset of: {}",
-                keys().join(", ")
-            ));
-        }
-        let entry = find(name).ok_or_else(|| {
-            format!(
-                "unknown async lock {name:?}; known async locks: {}",
-                keys().join(", ")
-            )
-        })?;
-        if out.iter().any(|e| core::ptr::eq(*e, entry)) {
-            return Err(format!("lock {name:?} selected twice in {list:?}"));
-        }
-        out.push(entry);
-    }
-    Ok(out)
-}
-
-/// All canonical async keys, in catalog order.
-pub fn keys() -> Vec<&'static str> {
-    ENTRIES.iter().map(|e| e.key).collect()
+    View::Async
+        .covers(entry)
+        .then(|| with_try_lock_type(entry, Make))?
 }
 
 /// Builds a runtime async-lock handle for `name`.
 pub fn dyn_async_lock(name: &str) -> Result<Box<dyn DynAsyncLock>, String> {
-    let entry = find(name).ok_or_else(|| {
-        format!(
-            "unknown async lock {name:?}; known async locks: {}",
-            keys().join(", ")
-        )
-    })?;
-    Ok((entry.make)())
+    let sel = resolve(name, &[View::Async])?;
+    Ok(make(sel.entry).expect("async view rows have a trylock path"))
 }
 
 /// Builds a [`DynAsyncMutex`] protecting `value` with the algorithm
@@ -156,50 +42,24 @@ pub fn dyn_async_mutex<T>(name: &str, value: T) -> Result<DynAsyncMutex<T>, Stri
     Ok(DynAsyncMutex::new(dyn_async_lock(name)?, value))
 }
 
-/// A generic computation instantiated per statically-dispatched queue-guard
-/// type — the visitor side of [`with_async_lock_type`]. The `RawTryLock`
-/// bound gives the visitor's body `AsyncMutex<T, L>` / `WakerQueue<L>` at
-/// zero dispatch cost, which is how `asyncbench` keeps its measurement
-/// loop monomorphized.
-pub trait AsyncLockVisitor {
-    /// Result produced per lock type.
-    type Output;
-    /// Runs the computation with the chosen guard algorithm as `L`.
-    fn visit<L: RawTryLock + 'static>(self, entry: &'static AsyncCatalogEntry) -> Self::Output;
-}
-
-macro_rules! gen_async_dispatch {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the async entry selected by
-        /// `name`: the visitor's generic `visit` is monomorphized for the
-        /// matching guard type. Returns `None` for unknown names.
-        pub fn with_async_lock_type<V: AsyncLockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => Some(visitor.visit::<$ty>(entry)),)+
-                _ => unreachable!("async catalog key missing from dispatch table"),
-            }
-        }
-    };
-}
-for_each_async_lock!(gen_async_dispatch);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hemlock_harness::executor::block_on;
+    use hemlock_locks::catalog::{find, ENTRIES};
 
     #[test]
     fn async_keys_are_exactly_the_abortable_subset() {
         let abortable = hemlock_locks::catalog::abortable();
-        assert_eq!(ENTRIES.len(), abortable.len());
+        assert_eq!(view(View::Async).count(), abortable.len());
         for entry in &abortable {
             let async_key = format!("async.{}", entry.key);
             let found = find(&async_key)
                 .unwrap_or_else(|| panic!("no async counterpart for abortable key {}", entry.key));
-            assert_eq!(found.meta, entry.meta, "{async_key}");
-            assert!(found.meta.asyncable, "{async_key}");
-            assert!(found.meta.abortable, "{async_key}");
+            assert_eq!((found.view, found.key()), (View::Async, async_key.as_str()));
+            assert_eq!(found.entry.meta, entry.meta, "{async_key}");
+            assert!(found.entry.meta.asyncable, "{async_key}");
+            assert!(found.entry.meta.abortable, "{async_key}");
         }
         // The unwithdrawable entries stay out.
         assert!(find("async.clh").is_none());
@@ -208,7 +68,7 @@ mod tests {
 
     #[test]
     fn asyncable_equals_abortable_across_the_exclusive_catalog() {
-        for entry in hemlock_locks::catalog::ENTRIES {
+        for entry in ENTRIES {
             assert_eq!(
                 entry.meta.asyncable, entry.meta.abortable,
                 "{}: asyncable must equal abortable",
@@ -219,41 +79,44 @@ mod tests {
 
     #[test]
     fn finds_by_key_and_alias_case_insensitively() {
-        assert_eq!(find("async.hemlock").unwrap().meta.name, "Hemlock");
-        assert_eq!(find("ASYNC.HEMLOCK.CTR").unwrap().key, "async.hemlock");
-        assert_eq!(find("async.mcs").unwrap().meta.name, "MCS");
-        assert!(find("hemlock").is_none(), "exclusive keys stay out");
-        assert!(find("nope").is_none());
+        let a = |name: &str| resolve(name, &[View::Async]).ok();
+        assert_eq!(a("async.hemlock").unwrap().entry.meta.name, "Hemlock");
+        assert_eq!(a("ASYNC.HEMLOCK.CTR").unwrap().key(), "async.hemlock");
+        assert_eq!(a("async.mcs").unwrap().entry.meta.name, "MCS");
+        assert!(a("hemlock").is_none(), "exclusive keys stay out");
+        assert!(a("nope").is_none());
     }
 
     #[test]
     fn every_entry_builds_a_working_dyn_async_lock() {
-        for entry in ENTRIES {
-            let lock = (entry.make)();
-            assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
-            assert!(lock.is_idle(), "{}", entry.key);
-            assert!(lock.try_acquire(true), "{}", entry.key);
-            assert!(!lock.try_acquire(true), "{}", entry.key);
+        for sel in view(View::Async) {
+            let lock = make(sel.entry).unwrap();
+            assert_eq!(lock.meta(), sel.entry.meta, "{}", sel.key());
+            assert!(lock.is_idle(), "{}", sel.key());
+            assert!(lock.try_acquire(true), "{}", sel.key());
+            assert!(!lock.try_acquire(true), "{}", sel.key());
             // Safety: acquired just above.
             unsafe { lock.release(true) };
-            assert!(lock.is_idle(), "{}", entry.key);
+            assert!(lock.is_idle(), "{}", sel.key());
         }
+        assert!(make(find("clh").unwrap().entry).is_none());
     }
 
     #[test]
     fn resolve_list_preserves_order_and_reports_errors() {
-        let picked = resolve_list("async.mcs, async.hemlock").unwrap();
+        let a = &[View::Async];
+        let picked = resolve_list("async.mcs, async.hemlock", a).unwrap();
         assert_eq!(
-            picked.iter().map(|e| e.key).collect::<Vec<_>>(),
+            picked.iter().map(|s| s.key()).collect::<Vec<_>>(),
             ["async.mcs", "async.hemlock"]
         );
-        assert!(resolve_list("async.mcs,bogus")
+        assert!(resolve_list("async.mcs,bogus", a)
             .unwrap_err()
             .contains("known async locks"));
-        assert!(resolve_list("async.mcs,,async.tas")
+        assert!(resolve_list("async.mcs,,async.tas", a)
             .unwrap_err()
             .contains("empty lock name"));
-        assert!(resolve_list("async.mcs,ASYNC.MCS")
+        assert!(resolve_list("async.mcs,ASYNC.MCS", a)
             .unwrap_err()
             .contains("twice"));
     }
@@ -272,25 +135,23 @@ mod tests {
     #[test]
     fn static_dispatch_reaches_the_right_type() {
         struct NameOf;
-        impl AsyncLockVisitor for NameOf {
+        impl TryLockVisitor for NameOf {
             type Output = &'static str;
-            fn visit<L: RawTryLock + 'static>(
-                self,
-                entry: &'static AsyncCatalogEntry,
-            ) -> Self::Output {
-                assert_eq!(L::META, entry.meta);
+            fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Self::Output {
+                assert_eq!(L::META, meta);
                 L::META.name
             }
         }
-        assert_eq!(with_async_lock_type("async.mcs", NameOf), Some("MCS"));
-        assert!(with_async_lock_type("mcs", NameOf).is_none());
-        assert!(with_async_lock_type("bogus", NameOf).is_none());
+        let sel = resolve("async.mcs", &[View::Async]).unwrap();
+        assert_eq!(with_try_lock_type(sel.entry, NameOf), Some("MCS"));
+        assert!(resolve("mcs", &[View::Async]).is_err());
+        assert!(resolve("bogus", &[View::Async]).is_err());
     }
 
     #[test]
     fn keys_are_unique_and_prefixed() {
-        let keys = keys();
-        assert_eq!(keys.len(), ENTRIES.len());
+        let keys = keys(&[View::Async]);
+        assert_eq!(keys.len(), view(View::Async).count());
         assert!(keys.iter().all(|k| k.starts_with("async.")));
         let mut dedup = keys.clone();
         dedup.sort_unstable();

@@ -14,12 +14,13 @@
 
 use hemlock_bench::{locks_from_args, sim_flavor_for, FAMILY_LOCKS};
 use hemlock_coherence::{flavor_offcore, Protocol};
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::{
     fmt_f64, median_of, multiwait_bench, mutex_bench, uncontended_latency_ns, Contention,
     MultiwaitConfig, MutexBenchConfig, Spec, Table,
 };
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor};
 use std::time::Duration;
 
 struct Measure {
@@ -37,7 +38,7 @@ struct Row {
 
 impl LockVisitor for Measure {
     type Output = Row;
-    fn visit<L: RawLock + 'static>(self, entry: &'static CatalogEntry) -> Row {
+    fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Row {
         let latency_ns = uncontended_latency_ns::<L>(200_000);
         let contended_mops = median_of(self.runs, || {
             mutex_bench::<L>(MutexBenchConfig {
@@ -56,7 +57,7 @@ impl LockVisitor for Measure {
             .mops()
         });
         Row {
-            name: entry.meta.name,
+            name: meta.name,
             latency_ns,
             contended_mops,
             multiwait_mops,
@@ -88,14 +89,13 @@ fn main() {
     ]);
     for entry in &locks {
         let r = catalog::with_lock_type(
-            entry.key,
+            entry,
             Measure {
                 threads,
                 duration,
                 runs,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
         // Simulated coherence cost per contended pair, where modeled.
         let sim = match sim_flavor_for(entry) {
             Some(flavor) => fmt_f64(

@@ -14,10 +14,10 @@
 //!   (computed through the same histogram). Direct FIFO hand-off should
 //!   keep this close to 1; a barging design would starve parked tasks.
 //!
-//! Locks resolve against the **`async.*` catalog**
-//! (`hemlock_async::catalog`) — the asyncable (= abortable) subset; the
+//! Locks resolve against the **`async.*` view** of the lock catalog
+//! (`hemlock_async::catalog`) — the asyncable (= abortable) rows; the
 //! measurement loop is monomorphized per guard algorithm through
-//! `catalog::with_async_lock_type`, so runtime selection costs nothing.
+//! `catalog::with_try_lock_type`, so runtime selection costs nothing.
 //!
 //! Output: aligned table (default), `--csv`, or `--json` (normalized
 //! bench-trajectory records with `wakeup_p99_ns` / `fairness_spread`
@@ -25,15 +25,15 @@
 //! ignored by its parser, so the gate sees only the throughput). Banners
 //! and progress go to stderr so stdout stays machine-readable.
 
-use hemlock_async::catalog::{self, AsyncCatalogEntry, AsyncLockVisitor};
+use hemlock_async::catalog::{self, TryLockVisitor, View};
 use hemlock_async::AsyncMutex;
 use hemlock_bench::ci::{self, Record, RecordBuilder};
 use hemlock_bench::Sweep;
 use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::{yield_now, TaskPool};
-use hemlock_harness::{fmt_f64, Histogram, Spec, Table};
-use hemlock_obs::Pcts;
+use hemlock_harness::{fmt_f64, Spec, Table};
+use hemlock_obs::{Hist, Pcts};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,9 +51,9 @@ struct RunStats {
     /// stop flag (every queued task finishing its in-flight iteration)
     /// counts ops, so it must count time too.
     elapsed: Duration,
-    latency: Histogram,
+    latency: Hist,
     /// Per-task acquisition counts, bucketed — min/max give the spread.
-    per_task: Histogram,
+    per_task: Hist,
 }
 
 /// One timed run: `tasks` tasks on `workers` pool threads, all hammering a
@@ -70,7 +70,7 @@ fn run_once<L: RawTryLock + 'static>(w: Workload) -> RunStats {
             let stop = Arc::clone(&stop);
             pool.spawn(async move {
                 let mut local = 0u64;
-                let mut latency = Histogram::new();
+                let mut latency = Hist::new();
                 while !stop.load(Ordering::Relaxed) {
                     let t0 = Instant::now();
                     let mut g = mutex.lock().await;
@@ -94,8 +94,8 @@ fn run_once<L: RawTryLock + 'static>(w: Workload) -> RunStats {
     let mut stats = RunStats {
         acquired: 0,
         elapsed: Duration::ZERO,
-        latency: Histogram::new(),
-        per_task: Histogram::new(),
+        latency: Hist::new(),
+        per_task: Hist::new(),
     };
     for h in handles {
         let (local, latency) = h.join();
@@ -121,9 +121,9 @@ struct AsyncSweep<'a> {
     tasks: &'a [usize],
 }
 
-impl AsyncLockVisitor for AsyncSweep<'_> {
+impl TryLockVisitor for AsyncSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawTryLock + 'static>(self, entry: &'static AsyncCatalogEntry) -> Vec<Row> {
+    fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
         let mut rows = Vec::new();
         for &tasks in self.tasks {
             for &workers in &self.sweep.threads {
@@ -148,7 +148,7 @@ impl AsyncLockVisitor for AsyncSweep<'_> {
                     median.per_task.max() as f64 / median.per_task.min().max(1) as f64;
                 eprintln!(
                     "# asyncbench {} tasks={} workers={}: {:.2} Mops/s, wakeup p99 {:.1}us, spread {:.2}",
-                    entry.meta.name,
+                    meta.name,
                     tasks,
                     workers,
                     ops_per_sec / 1e6,
@@ -156,7 +156,7 @@ impl AsyncLockVisitor for AsyncSweep<'_> {
                     fairness_spread,
                 );
                 rows.push(Row {
-                    meta: entry.meta,
+                    meta,
                     tasks,
                     workers,
                     ops_per_sec,
@@ -213,7 +213,7 @@ fn main() {
     let args = spec.parse_env();
 
     let quick = args.has("quick");
-    let default_locks = catalog::keys().join(",");
+    let default_locks = catalog::keys(&[View::Async]).join(",");
     let lock_list = args.get_str(
         "lock",
         if quick {
@@ -222,7 +222,7 @@ fn main() {
             &default_locks
         },
     );
-    let entries = or_exit(catalog::resolve_list(&lock_list));
+    let entries = or_exit(catalog::resolve_list(&lock_list, &[View::Async]));
 
     let mut sweep = Sweep::from_args(&args);
     sweep.threads = or_exit(args.get_list("threads", &sweep.threads));
@@ -237,14 +237,14 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for entry in &entries {
-        let visited = catalog::with_async_lock_type(
-            entry.key,
+        let visited = catalog::with_try_lock_type(
+            entry.entry,
             AsyncSweep {
                 sweep: &sweep,
                 tasks: &tasks,
             },
         )
-        .expect("async catalog entries always dispatch");
+        .expect("async view rows have a trylock path");
         rows.extend(visited);
     }
 

@@ -5,9 +5,10 @@
 //! and even indefinite starvation".
 
 use hemlock_bench::locks_from_args;
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::{fairness_bench, fmt_f64, Spec, Table};
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor};
 use std::time::Duration;
 
 struct Row<'a> {
@@ -18,11 +19,11 @@ struct Row<'a> {
 
 impl LockVisitor for Row<'_> {
     type Output = ();
-    fn visit<L: RawLock + 'static>(self, entry: &'static CatalogEntry) {
+    fn visit<L: RawLock + 'static>(self, meta: LockMeta) {
         let r = fairness_bench::<L>(self.threads, self.duration);
         self.table.row(vec![
-            entry.meta.name.to_string(),
-            if entry.meta.fifo { "yes" } else { "no" }.to_string(),
+            meta.name.to_string(),
+            if meta.fifo { "yes" } else { "no" }.to_string(),
             fmt_f64(r.jain_index(), 4),
             if r.max_min_ratio().is_finite() {
                 fmt_f64(r.max_min_ratio(), 2)
@@ -63,14 +64,13 @@ fn main() {
     ]);
     for entry in &locks {
         catalog::with_lock_type(
-            entry.key,
+            entry,
             Row {
                 threads,
                 duration,
                 table: &mut t,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
     }
     print!(
         "{}",

@@ -10,9 +10,10 @@
 use hemlock_bench::{
     figure_spec, locks_from_args, print_series, substitution_note, Sweep, FIGURE_LOCKS,
 };
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::median_of;
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor};
 use hemlock_minikv::{fill_seq, read_random, Db};
 
 const VALUE_LEN: usize = 100; // db_bench default value size
@@ -24,7 +25,7 @@ struct ReadRandomSeries<'a> {
 
 impl LockVisitor for ReadRandomSeries<'_> {
     type Output = Vec<f64>;
-    fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> Vec<f64> {
+    fn visit<L: RawLock + 'static>(self, _meta: LockMeta) -> Vec<f64> {
         // Populate once per lock type (fillseq), reuse across the sweep
         // (--use_existing_db=1 in the paper's invocation).
         let db: Db<L> = Db::new(Default::default());
@@ -60,13 +61,12 @@ fn main() {
         .iter()
         .map(|e| {
             let series = catalog::with_lock_type(
-                e.key,
+                e,
                 ReadRandomSeries {
                     sweep: &sweep,
                     entries,
                 },
-            )
-            .expect("catalog entry key always dispatches");
+            );
             (e.meta.name, series)
         })
         .collect();

@@ -9,9 +9,10 @@
 //! multiple RMW-polling waiters).
 
 use hemlock_bench::{figure_spec, locks_from_args, print_series, Sweep, FIGURE_LOCKS};
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::{median_of, multiwait_bench, MultiwaitConfig};
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor};
 
 struct MultiwaitSeries<'a> {
     sweep: &'a Sweep,
@@ -20,7 +21,7 @@ struct MultiwaitSeries<'a> {
 
 impl LockVisitor for MultiwaitSeries<'_> {
     type Output = Vec<f64>;
-    fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> Vec<f64> {
+    fn visit<L: RawLock + 'static>(self, _meta: LockMeta) -> Vec<f64> {
         self.sweep
             .threads
             .iter()
@@ -58,13 +59,12 @@ fn main() {
         .iter()
         .map(|e| {
             let s = catalog::with_lock_type(
-                e.key,
+                e,
                 MultiwaitSeries {
                     sweep: &sweep,
                     locks,
                 },
-            )
-            .expect("catalog entry key always dispatches");
+            );
             (e.meta.name, s)
         })
         .collect();

@@ -49,14 +49,15 @@
 //! `--addr`, start the remote `kvserver` with its own `--trace N`; the
 //! fetch-and-decompose path works the same.
 
-use hemlock_async::catalog::{self, AsyncCatalogEntry, AsyncLockVisitor};
+use hemlock_async::catalog::{self, TryLockVisitor, View};
 use hemlock_bench::ci::{self, RecordBuilder};
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::TaskPool;
-use hemlock_harness::{fmt_f64, Histogram, Mt19937, Reactor, Spec, Table, Zipf};
+use hemlock_harness::{fmt_f64, Mt19937, Reactor, Spec, Table, Zipf};
 use hemlock_minikv::{AsyncKv, Db, Options};
 use hemlock_net::{spawn_server_with, AsyncConn, Client, Op, ServerHandle, ServerOptions};
-use hemlock_obs::{trace, Pcts, Snapshot};
+use hemlock_obs::{trace, Hist, Pcts, Snapshot};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -81,7 +82,7 @@ struct Workload {
 struct RunStats {
     ops: u64,
     elapsed: Duration,
-    latency: Histogram,
+    latency: Hist,
 }
 
 fn key_bytes(rank: u64) -> Vec<u8> {
@@ -142,7 +143,7 @@ fn run_once(addr: SocketAddr, w: Workload) -> std::io::Result<RunStats> {
                 .map(|r| Duration::from_secs_f64(w.pipeline as f64 * w.conns as f64 / r));
             pool.spawn(async move {
                 let mut rng = Mt19937::new(0xC0FFEE ^ (i as u32).wrapping_mul(0x9E37_79B9));
-                let mut latency = Histogram::new();
+                let mut latency = Hist::new();
                 let mut ops_done = 0u64;
                 let mut next_send = Instant::now();
                 loop {
@@ -188,7 +189,7 @@ fn run_once(addr: SocketAddr, w: Workload) -> std::io::Result<RunStats> {
     let mut stats = RunStats {
         ops: 0,
         elapsed: Duration::ZERO,
-        latency: Histogram::new(),
+        latency: Hist::new(),
     };
     for h in handles {
         let (ops, lat) = h.join();
@@ -206,9 +207,9 @@ struct SpawnInProc {
     opts: ServerOptions,
 }
 
-impl AsyncLockVisitor for SpawnInProc {
+impl TryLockVisitor for SpawnInProc {
     type Output = std::io::Result<ServerHandle>;
-    fn visit<L: RawTryLock + 'static>(self, _entry: &'static AsyncCatalogEntry) -> Self::Output {
+    fn visit<L: RawTryLock + 'static>(self, _meta: LockMeta) -> Self::Output {
         let kv: Arc<dyn AsyncKv> = Arc::new(Db::<L>::new(Options::default())).into_async_kv();
         spawn_server_with(&self.pool, kv, "127.0.0.1:0".parse().unwrap(), self.opts)
     }
@@ -457,22 +458,17 @@ fn main() {
     let (addr, lock_name, server) = match or_exit(args.addr()) {
         Some(addr) => (addr, lock_key.clone(), None),
         None => {
-            let entry = catalog::find(&lock_key).unwrap_or_else(|| {
-                or_exit::<&AsyncCatalogEntry>(Err(format!(
-                    "unknown async lock {lock_key:?}; known async locks: {}",
-                    catalog::keys().join(", ")
-                )))
-            });
+            let entry = or_exit(catalog::resolve(&lock_key, &[View::Async])).entry;
             let server_pool = Arc::new(TaskPool::new(args.get("server-threads", 4usize).max(1)));
             let server = or_exit(
-                catalog::with_async_lock_type(
-                    entry.key,
+                catalog::with_try_lock_type(
+                    entry,
                     SpawnInProc {
                         pool: Arc::clone(&server_pool),
                         opts: ServerOptions { combine },
                     },
                 )
-                .expect("async catalog entries always dispatch")
+                .expect("async view rows have a trylock path")
                 .map_err(|e| format!("cannot spawn in-process server: {e}")),
             );
             // The pool must outlive the server; stash it via a leak-free

@@ -4,10 +4,11 @@
 //! thread count** over one maximally contended lock and compare the `rw.*`
 //! catalog (readers admitted concurrently) against the exclusive catalog
 //! (readers serialize behind the single holder). Lock names resolve
-//! against *both* registries — `--lock hemlock,rw.hemlock` runs the same
-//! measurement loop through `catalog::with_lock_type` and
+//! against every view of the one catalog — `--lock hemlock,rw.hemlock`
+//! runs the same measurement loop through `catalog::with_lock_type` and
 //! `hemlock_rw::catalog::with_rw_lock_type` respectively, so the only
-//! difference between a pair of rows is whether `read_lock` shares.
+//! difference between a pair of rows is whether `read_lock` shares
+//! (`async.*` selections run their guard algorithm, like the bare key).
 //!
 //! Each operation takes the lock (read mode for reads, write mode for
 //! writes) around a touch of one slot in a shared array. At high read
@@ -25,6 +26,7 @@ use hemlock_core::meta::LockMeta;
 use hemlock_core::pad::CachePadded;
 use hemlock_core::raw::{RawLock, RawTryLock};
 use hemlock_harness::{fmt_f64, Spec, Table};
+use hemlock_locks::catalog::{self, LockVisitor, Selection, TryLockVisitor, View};
 use hemlock_rw::catalog as rw_catalog;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -173,7 +175,7 @@ struct RwSweep<'a> {
     keys: u64,
 }
 
-impl rw_catalog::RwLockVisitor for RwSweep<'_> {
+impl LockVisitor for RwSweep<'_> {
     type Output = Vec<Row>;
     fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
         self.sweep
@@ -210,7 +212,7 @@ impl rw_catalog::RwLockVisitor for RwSweep<'_> {
 }
 
 /// The `--timeout` counterpart of [`RwSweep`]: dispatched through the
-/// timed registries (`with_any_timed_lock_type`), so the monomorphized
+/// trylock dispatchers (`with_try_lock_type` and its RW view), so the monomorphized
 /// loop gets `try_lock_for`/`try_read_lock_for` at zero dispatch cost.
 struct TimedRwSweep<'a> {
     sweep: &'a Sweep,
@@ -219,7 +221,7 @@ struct TimedRwSweep<'a> {
     timeout: Duration,
 }
 
-impl rw_catalog::TimedRwLockVisitor for TimedRwSweep<'_> {
+impl TryLockVisitor for TimedRwSweep<'_> {
     type Output = Vec<Row>;
     fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
         self.sweep
@@ -269,6 +271,21 @@ fn or_exit<T>(r: Result<T, String>) -> T {
     })
 }
 
+/// Resolves the `--lock` list across every view; under `--timeout` every
+/// selection needs an abortable path (the RW face mirrors its gate's), so
+/// the run refuses up front rather than silently measuring something else.
+fn select(list: &str, timed: bool) -> Result<Vec<Selection>, String> {
+    let picked = catalog::resolve_list(list, &View::ALL)?;
+    if let Some(s) = picked.iter().find(|s| timed && !s.entry.meta.abortable) {
+        return Err(format!(
+            "--timeout requires abortable locks, but {:?} reports abortable: false \
+             (its waiters cannot withdraw)",
+            s.key()
+        ));
+    }
+    Ok(picked)
+}
+
 fn main() {
     let spec = Spec::new(
         "rwbench",
@@ -297,23 +314,6 @@ fn main() {
 
     let quick = args.has("quick");
     let lock_list = args.get_str("lock", "hemlock,rw.hemlock,mcs,rw.mcs");
-    let names: Vec<String> = lock_list.split(',').map(|n| n.trim().to_string()).collect();
-    // Validate the whole selection before any measurement runs, so a typo
-    // at the end of the list fails fast instead of after minutes of sweep.
-    for name in &names {
-        if name.is_empty() {
-            or_exit::<()>(Err(format!(
-                "empty lock name in {lock_list:?}; known locks: {}",
-                rw_catalog::all_keys().join(", ")
-            )));
-        }
-        if rw_catalog::find(name).is_none() && hemlock_locks::catalog::find(name).is_none() {
-            or_exit::<()>(Err(format!(
-                "unknown lock {name:?}; known locks: {}",
-                rw_catalog::all_keys().join(", ")
-            )));
-        }
-    }
     let mut sweep = Sweep::from_args(&args);
     sweep.threads = or_exit(args.get_list("threads", &sweep.threads));
     let read_pcts: Vec<u64> = or_exit(args.get_list(
@@ -328,22 +328,7 @@ fn main() {
         or_exit::<()>(Err("--keys must be at least 1".to_string()));
     }
     let timeout = or_exit(args.timeout());
-    if timeout.is_some() {
-        // Timed mode needs an abortable path on every selected lock —
-        // refuse up front rather than silently measuring something else.
-        for name in &names {
-            let abortable = rw_catalog::find(name)
-                .map(|e| e.meta.abortable)
-                .or_else(|| hemlock_locks::catalog::find(name).map(|e| e.meta.abortable))
-                .unwrap_or(false);
-            if !abortable {
-                or_exit::<()>(Err(format!(
-                    "--timeout requires abortable locks, but {name:?} reports abortable: false \
-                     (its waiters cannot withdraw)"
-                )));
-            }
-        }
-    }
+    let picked = or_exit(select(&lock_list, timeout.is_some()));
     let json = args.has("json");
 
     eprintln!(
@@ -352,34 +337,38 @@ fn main() {
     );
 
     let mut rows: Vec<Row> = Vec::new();
-    for name in &names {
+    for sel in &picked {
+        let rw = sel.view == View::Rw;
         for &read_pct in &read_pcts {
             let visited = match timeout {
-                Some(budget) => rw_catalog::with_any_timed_lock_type(
-                    name,
-                    TimedRwSweep {
+                Some(timeout) => {
+                    let v = TimedRwSweep {
                         sweep: &sweep,
                         read_pct,
                         keys,
-                        timeout: budget,
-                    },
-                ),
-                None => rw_catalog::with_any_lock_type(
-                    name,
-                    RwSweep {
+                        timeout,
+                    };
+                    if rw {
+                        rw_catalog::with_try_rw_lock_type(sel.entry, v)
+                    } else {
+                        catalog::with_try_lock_type(sel.entry, v)
+                    }
+                    .expect("select() admits only abortable locks under --timeout")
+                }
+                None => {
+                    let v = RwSweep {
                         sweep: &sweep,
                         read_pct,
                         keys,
-                    },
-                ),
+                    };
+                    if rw {
+                        rw_catalog::with_rw_lock_type(sel.entry, v)
+                    } else {
+                        catalog::with_lock_type(sel.entry, v)
+                    }
+                }
             };
-            match visited {
-                Some(v) => rows.extend(v),
-                None => or_exit::<()>(Err(format!(
-                    "unknown lock {name:?}; known locks: {}",
-                    rw_catalog::all_keys().join(", ")
-                ))),
-            }
+            rows.extend(visited);
         }
     }
 
@@ -427,4 +416,37 @@ fn main() {
         ]);
     }
     print!("{}", if sweep.csv { t.to_csv() } else { t.render() });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::select;
+    use hemlock_locks::catalog::View;
+
+    #[test]
+    fn lock_list_resolves_mixed_views_through_the_shared_resolver() {
+        let picked = select("hemlock,rw.hemlock,async.mcs", false).unwrap();
+        assert_eq!(
+            picked.iter().map(|s| (s.view, s.key())).collect::<Vec<_>>(),
+            [
+                (View::Exclusive, "hemlock"),
+                (View::Rw, "rw.hemlock"),
+                (View::Async, "async.mcs")
+            ]
+        );
+        for dup in ["mcs,MCS", "rw.hemlock,hemlockrw"] {
+            assert!(select(dup, false).unwrap_err().contains("twice"), "{dup}");
+        }
+        for name in ["async.clh", "async.anderson", "rw.bogus", ""] {
+            assert!(select(name, false).is_err(), "{name:?}");
+        }
+        // --timeout reads abortability off the resolved entry.
+        assert!(select("hemlock,rw.hemlock,rw.mcs", true).is_ok());
+        for name in ["clh", "rw.clh", "RW-Anderson"] {
+            assert!(
+                select(name, true).unwrap_err().contains("abortable"),
+                "{name}"
+            );
+        }
+    }
 }

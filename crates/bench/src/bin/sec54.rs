@@ -19,9 +19,10 @@
 //! variant.
 
 use hemlock_bench::locks_from_args;
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::Spec;
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor};
 use hemlock_minikv::{fill_seq, read_random, Db, ReadBenchResult};
 use std::time::Duration;
 
@@ -36,7 +37,7 @@ struct KvRun {
 
 impl LockVisitor for KvRun {
     type Output = ReadBenchResult;
-    fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> ReadBenchResult {
+    fn visit<L: RawLock + 'static>(self, _meta: LockMeta) -> ReadBenchResult {
         let db: Db<L> = Db::new(Default::default());
         fill_seq(&db, self.entries, 100);
         (self.before_read)();
@@ -68,15 +69,14 @@ fn main() {
             || {}
         };
         let result = catalog::with_lock_type(
-            entry.key,
+            entry,
             KvRun {
                 entries,
                 threads,
                 duration,
                 before_read,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
         eprintln!(
             "# [{}] {} reads across {threads} threads in {:?} ({:.0} ops/s)",
             entry.meta.name,

@@ -36,7 +36,7 @@ use hemlock_core::pad::CachePadded;
 use hemlock_core::raw::{RawLock, RawTryLock};
 use hemlock_harness::executor::TaskPool;
 use hemlock_harness::{fmt_f64, Mt19937, Spec, Table, Zipf};
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor, TimedLockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor, TryLockVisitor};
 use hemlock_obs::trace;
 use hemlock_shard::{ShardedTable, TableOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -346,7 +346,7 @@ struct ShardSweep<'a> {
 
 impl LockVisitor for ShardSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawLock + 'static>(self, entry: &'static CatalogEntry) -> Vec<Row> {
+    fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
         self.sweep
             .threads
             .iter()
@@ -365,14 +365,14 @@ impl LockVisitor for ShardSweep<'_> {
                 );
                 eprintln!(
                     "# shardkv {} shards={} threads={}: {:.2} Mops/s ({:.1}% contended)",
-                    entry.meta.name,
+                    meta.name,
                     self.shards,
                     threads,
                     ops_per_sec / 1e6,
                     100.0 * contended
                 );
                 Row {
-                    meta: entry.meta,
+                    meta,
                     shards: self.shards,
                     threads,
                     tasks: None,
@@ -396,9 +396,9 @@ struct CombinedShardSweep<'a> {
     theta: Option<f64>,
 }
 
-impl TimedLockVisitor for CombinedShardSweep<'_> {
+impl TryLockVisitor for CombinedShardSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> Vec<Row> {
+    fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
         self.sweep
             .threads
             .iter()
@@ -417,14 +417,14 @@ impl TimedLockVisitor for CombinedShardSweep<'_> {
                 );
                 eprintln!(
                     "# shardkv {} shards={} threads={} combined: {:.2} Mops/s ({:.1}% contended)",
-                    entry.meta.name,
+                    meta.name,
                     self.shards,
                     threads,
                     ops_per_sec / 1e6,
                     100.0 * contended
                 );
                 Row {
-                    meta: entry.meta,
+                    meta,
                     shards: self.shards,
                     threads,
                     tasks: None,
@@ -447,9 +447,9 @@ struct AsyncShardSweep<'a> {
     tasks: usize,
 }
 
-impl TimedLockVisitor for AsyncShardSweep<'_> {
+impl TryLockVisitor for AsyncShardSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> Vec<Row> {
+    fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
         self.sweep
             .threads
             .iter()
@@ -469,7 +469,7 @@ impl TimedLockVisitor for AsyncShardSweep<'_> {
                 );
                 eprintln!(
                     "# shardkv {} shards={} tasks={} workers={}{}: {:.2} Mops/s ({:.1}% contended)",
-                    entry.meta.name,
+                    meta.name,
                     self.shards,
                     self.tasks,
                     threads,
@@ -478,7 +478,7 @@ impl TimedLockVisitor for AsyncShardSweep<'_> {
                     100.0 * contended
                 );
                 Row {
-                    meta: entry.meta,
+                    meta,
                     shards: self.shards,
                     threads,
                     tasks: Some(self.tasks),
@@ -627,7 +627,7 @@ fn main() {
             match &tasks_mode {
                 None if !combine => {
                     let visited = catalog::with_lock_type(
-                        entry.key,
+                        entry,
                         ShardSweep {
                             sweep: &sweep,
                             shards,
@@ -635,13 +635,12 @@ fn main() {
                             keys,
                             theta,
                         },
-                    )
-                    .expect("catalog entry key always dispatches");
+                    );
                     rows.extend(visited);
                 }
                 None => {
-                    match catalog::with_timed_lock_type(
-                        entry.key,
+                    match catalog::with_try_lock_type(
+                        entry,
                         CombinedShardSweep {
                             sweep: &sweep,
                             shards,
@@ -660,8 +659,8 @@ fn main() {
                 }
                 Some(task_counts) => {
                     for &tasks in task_counts {
-                        match catalog::with_timed_lock_type(
-                            entry.key,
+                        match catalog::with_try_lock_type(
+                            entry,
                             AsyncShardSweep {
                                 sweep: &sweep,
                                 shards,

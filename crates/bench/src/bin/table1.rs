@@ -11,7 +11,7 @@ use hemlock_core::meta::LockMeta;
 use hemlock_core::pad::CACHE_LINE;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::{Spec, Table};
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor};
 
 const WORD: usize = core::mem::size_of::<usize>();
 
@@ -19,7 +19,7 @@ const WORD: usize = core::mem::size_of::<usize>();
 struct MeasuredWords;
 impl LockVisitor for MeasuredWords {
     type Output = usize;
-    fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> usize {
+    fn visit<L: RawLock + 'static>(self, _meta: LockMeta) -> usize {
         core::mem::size_of::<L>().div_ceil(WORD)
     }
 }
@@ -57,8 +57,7 @@ fn main() {
     ]);
     for entry in &locks {
         let meta = &entry.meta;
-        let measured = catalog::with_lock_type(entry.key, MeasuredWords)
-            .expect("catalog entry key always dispatches");
+        let measured = catalog::with_lock_type(entry, MeasuredWords);
         let body = if meta.nontrivial_init {
             format!("{}+E", meta.lock_words) // CLH: dummy element installed at init
         } else {
@@ -87,6 +86,7 @@ fn main() {
 
     // Worked example from §2.3: lock L owned by T1 with T2, T3 waiting.
     if let (Some(mcs), Some(hemlock)) = (catalog::find("mcs"), catalog::find("hemlock")) {
+        let (mcs, hemlock) = (mcs.entry, hemlock.entry);
         let mcs_total = mcs.meta.lock_bytes()
             + 3 * (mcs.meta.held_elements.max(mcs.meta.wait_elements)) * CACHE_LINE;
         let hemlock_total = hemlock.meta.lock_bytes() + 3 * hemlock.meta.thread_words * CACHE_LINE;

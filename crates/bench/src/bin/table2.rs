@@ -15,9 +15,10 @@
 
 use hemlock_bench::{locks_from_args, sim_algo_for, FIGURE_LOCKS};
 use hemlock_coherence::{table2_row, Protocol, Table2Algo};
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::{fmt_f64, median_of, mutex_bench, Contention, MutexBenchConfig, Spec, Table};
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, LockVisitor};
 use std::time::Duration;
 
 struct Rate {
@@ -28,7 +29,7 @@ struct Rate {
 
 impl LockVisitor for Rate {
     type Output = f64;
-    fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> f64 {
+    fn visit<L: RawLock + 'static>(self, _meta: LockMeta) -> f64 {
         median_of(self.runs, || {
             mutex_bench::<L>(MutexBenchConfig {
                 threads: self.threads,
@@ -71,14 +72,13 @@ fn main() {
     let mut t = Table::new(vec!["Lock", "Rate (M pairs/s)", "OffCore/pair (sim)"]);
     for entry in &locks {
         let rate = catalog::with_lock_type(
-            entry.key,
+            entry,
             Rate {
                 threads,
                 secs,
                 runs,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
         let offcore_cell = match sim_algo_for(entry) {
             Some(algo) => fmt_f64(offcore(algo, sim_threads, rounds, runs as u64), 2),
             None => "n/a".to_string(),

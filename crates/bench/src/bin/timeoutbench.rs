@@ -16,7 +16,7 @@
 //! (CLH, Anderson) are *skipped with a note* rather than faked, since a
 //! waiter that cannot withdraw has no honest timed path. The measurement
 //! loop is monomorphized per algorithm through
-//! `catalog::with_timed_lock_type`, so runtime selection costs nothing.
+//! `catalog::with_try_lock_type`, so runtime selection costs nothing.
 //!
 //! Output: aligned table (default), `--csv`, or `--json` (normalized
 //! bench-trajectory records with `abandon_rate` / `p99_acquire_ns` extras;
@@ -27,9 +27,9 @@
 use hemlock_bench::Sweep;
 use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawTryLock;
-use hemlock_harness::{fmt_f64, Histogram, Spec, Table};
-use hemlock_locks::catalog::{self, CatalogEntry, TimedLockVisitor};
-use hemlock_obs::Pcts;
+use hemlock_harness::{fmt_f64, Spec, Table};
+use hemlock_locks::catalog::{self, CatalogEntry, TryLockVisitor, View};
+use hemlock_obs::{Hist, Pcts};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex as StdMutex;
 use std::time::{Duration, Instant};
@@ -45,7 +45,7 @@ struct Workload {
 struct RunStats {
     acquired: u64,
     abandoned: u64,
-    latency: Histogram,
+    latency: Hist,
 }
 
 /// One timed run over a single shared lock: every acquisition is a
@@ -57,7 +57,7 @@ fn run_once<L: RawTryLock>(w: Workload) -> RunStats {
     let merged: StdMutex<RunStats> = StdMutex::new(RunStats {
         acquired: 0,
         abandoned: 0,
-        latency: Histogram::new(),
+        latency: Hist::new(),
     });
     std::thread::scope(|s| {
         for _ in 0..w.threads {
@@ -67,7 +67,7 @@ fn run_once<L: RawTryLock>(w: Workload) -> RunStats {
             s.spawn(move || {
                 let mut acquired = 0u64;
                 let mut abandoned = 0u64;
-                let mut latency = Histogram::new();
+                let mut latency = Hist::new();
                 while !stop.load(Ordering::Relaxed) {
                     let t0 = Instant::now();
                     if lock.try_lock_for(w.timeout) {
@@ -117,9 +117,9 @@ struct TimeoutSweep<'a> {
     timeouts: &'a [(f64, Duration)],
 }
 
-impl TimedLockVisitor for TimeoutSweep<'_> {
+impl TryLockVisitor for TimeoutSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> Vec<Row> {
+    fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
         let mut rows = Vec::new();
         for &(hold_us, hold) in self.holds {
             for &(timeout_ms, timeout) in self.timeouts {
@@ -151,7 +151,7 @@ impl TimedLockVisitor for TimeoutSweep<'_> {
                     let acquire = median.latency.pcts();
                     eprintln!(
                         "# timeoutbench {} hold={}us timeout={}ms threads={}: {:.2} Mops/s, abandon {:.1}%, p99 {:.1}us",
-                        entry.meta.name,
+                        meta.name,
                         hold_us,
                         timeout_ms,
                         threads,
@@ -160,7 +160,7 @@ impl TimedLockVisitor for TimeoutSweep<'_> {
                         acquire.p99 as f64 / 1e3,
                     );
                     rows.push(Row {
-                        meta: entry.meta,
+                        meta,
                         threads,
                         hold_us,
                         timeout_ms,
@@ -243,9 +243,9 @@ fn main() {
             &default_locks
         },
     );
-    let entries = or_exit(catalog::resolve_list(&lock_list));
+    let entries = or_exit(catalog::resolve_list(&lock_list, &[View::Exclusive]));
     let mut selected: Vec<&'static CatalogEntry> = Vec::new();
-    for entry in entries {
+    for entry in entries.into_iter().map(|s| s.entry) {
         if entry.meta.abortable {
             selected.push(entry);
         } else {
@@ -299,15 +299,15 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for entry in &selected {
-        let visited = catalog::with_timed_lock_type(
-            entry.key,
+        let visited = catalog::with_try_lock_type(
+            entry,
             TimeoutSweep {
                 sweep: &sweep,
                 holds: &holds,
                 timeouts: &timeouts,
             },
         )
-        .expect("abortable entries always dispatch through the timed table");
+        .expect("abortable entries have a trylock path");
         rows.extend(visited);
     }
 

@@ -161,6 +161,7 @@ macro_rules! lock_family_tests {
                 let l = Arc::new(<$lock>::default());
                 let stage = Arc::new(AtomicUsize::new(0));
                 l.lock();
+                let before = l.tail_word();
                 let t = {
                     let l = Arc::clone(&l);
                     let stage = Arc::clone(&stage);
@@ -171,7 +172,8 @@ macro_rules! lock_family_tests {
                         unsafe { l.unlock() };
                     })
                 };
-                while stage.load(Ordering::Acquire) < 1 {
+                // Handshake: the waiter has arrived once the tail moves.
+                while l.tail_word() == before {
                     std::hint::spin_loop();
                 }
                 std::thread::sleep(std::time::Duration::from_millis(10));
@@ -221,9 +223,14 @@ macro_rules! lock_family_tests {
                         unsafe { l.unlock() };
                     })
                 };
+                let (t1, t2) = (l1.tail_word(), l2.tail_word());
                 let w1 = spawn_waiter(&l1, 1);
                 let w2 = spawn_waiter(&l2, 2);
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                // Handshake: both waiters are queued on the holder's Grant
+                // word once both tails move.
+                while l1.tail_word() == t1 || l2.tail_word() == t2 {
+                    std::hint::spin_loop();
+                }
                 assert_eq!(acquired.load(Ordering::Acquire), 0);
                 unsafe { l2.unlock() }; // must wake w2, not w1
                 w2.join().unwrap();

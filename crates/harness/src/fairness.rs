@@ -7,10 +7,10 @@
 //! distribution, reporting Jain's fairness index and the tail/median
 //! latency ratio.
 
-use crate::histogram::Histogram;
 use crate::measure::Throughput;
 use core::sync::atomic::{AtomicBool, Ordering};
 use hemlock_core::raw::RawLock;
+use hemlock_obs::Hist;
 use std::sync::Mutex as StdMutex;
 use std::time::{Duration, Instant};
 
@@ -20,7 +20,7 @@ pub struct FairnessReport {
     /// Per-thread completed iterations.
     pub per_thread_ops: Vec<u64>,
     /// Merged acquisition-latency histogram (nanoseconds).
-    pub latency: Histogram,
+    pub latency: Hist,
     /// Aggregate throughput.
     pub throughput: Throughput,
 }
@@ -65,7 +65,7 @@ impl FairnessReport {
 pub fn fairness_bench<L: RawLock>(threads: usize, duration: Duration) -> FairnessReport {
     let lock = L::default();
     let stop = AtomicBool::new(false);
-    let results: StdMutex<Vec<(usize, u64, Histogram)>> = StdMutex::new(Vec::new());
+    let results: StdMutex<Vec<(usize, u64, Hist)>> = StdMutex::new(Vec::new());
 
     let start = Instant::now();
     std::thread::scope(|s| {
@@ -75,7 +75,7 @@ pub fn fairness_bench<L: RawLock>(threads: usize, duration: Duration) -> Fairnes
             let results = &results;
             s.spawn(move || {
                 let mut ops = 0u64;
-                let mut hist = Histogram::new();
+                let mut hist = Hist::new();
                 while !stop.load(Ordering::Relaxed) {
                     let t0 = Instant::now();
                     lock.lock();
@@ -96,7 +96,7 @@ pub fn fairness_bench<L: RawLock>(threads: usize, duration: Duration) -> Fairnes
     let mut rows = results.into_inner().unwrap();
     rows.sort_by_key(|(t, _, _)| *t);
     let per_thread_ops: Vec<u64> = rows.iter().map(|(_, ops, _)| *ops).collect();
-    let mut latency = Histogram::new();
+    let mut latency = Hist::new();
     for (_, _, h) in &rows {
         latency.merge(h);
     }
@@ -171,7 +171,7 @@ mod tests {
     fn report_math() {
         let r = FairnessReport {
             per_thread_ops: vec![100, 100, 100],
-            latency: Histogram::new(),
+            latency: Hist::new(),
             throughput: Throughput {
                 ops: 300,
                 elapsed: Duration::from_secs(1),
@@ -182,7 +182,7 @@ mod tests {
 
         let skewed = FairnessReport {
             per_thread_ops: vec![300, 0, 0],
-            latency: Histogram::new(),
+            latency: Hist::new(),
             throughput: Throughput {
                 ops: 300,
                 elapsed: Duration::from_secs(1),

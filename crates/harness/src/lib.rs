@@ -28,7 +28,6 @@
 pub mod cli;
 pub mod executor;
 pub mod fairness;
-pub mod histogram;
 pub mod measure;
 pub mod mt19937;
 pub mod multiwait;
@@ -42,7 +41,6 @@ pub use cli::{Args, Spec};
 pub use executor::{block_on, JoinHandle, TaskPool};
 pub use fairness::{fairness_bench, FairnessReport};
 pub use hemlock_obs::now_ns;
-pub use histogram::{Hist, Histogram, Pcts};
 pub use measure::{median_of, thread_sweep, Throughput};
 pub use mt19937::Mt19937;
 pub use multiwait::{multiwait_bench, MultiwaitConfig};

@@ -145,8 +145,13 @@ mod tests {
                 unsafe { l.unlock() };
             })
         };
-        // Holder plus a (soon-)queued waiter: the hint must say engaged
-        // throughout, including right after ownership transfers.
+        // Holder plus a queued waiter: the hint must say engaged
+        // throughout, including right after ownership transfers. Wait for
+        // the waiter's ticket first — unlocking before it arrives would
+        // correctly read "free".
+        while l.tail.load(std::sync::atomic::Ordering::Relaxed) < 2 {
+            std::hint::spin_loop();
+        }
         assert_eq!(l.is_locked_hint(), Some(true));
         unsafe { l.unlock() };
         assert_eq!(l.is_locked_hint(), Some(true), "waiter now holds it");

@@ -1,33 +1,27 @@
-//! The unified lock-algorithm catalog.
+//! The lock catalog: the one list of lock algorithms in the workspace.
 //!
-//! One registry for every lock in the workspace — the Hemlock family from
-//! `hemlock-core` plus the baselines in this crate — mapping stable string
-//! keys (`"hemlock"`, `"hemlock.v1"`, `"mcs"`, `"clh"`, …) to:
+//! Every lock — the Hemlock family from `hemlock-core` plus the baselines
+//! in this crate — is one row of [`for_each_lock!`](crate::for_each_lock),
+//! materialized as one [`CatalogEntry`]: selector spellings, the
+//! algorithm's [`LockMeta`], and a [`DynLock`] factory. This is the Rust
+//! analog of the paper's `LD_PRELOAD` interposition (§5): every binary's
+//! `--lock <name>[,<name>…]` resolves here.
 //!
-//! - a [`LockMeta`] descriptor (the Table 1 axes + capabilities), and
-//! - a factory producing a type-erased [`DynLock`] handle for the
-//!   runtime-selection layer ([`DynMutex`]).
+//! A selector's prefix picks a [`View`] of a row, and view membership
+//! follows from the row's `LockMeta` bits: no prefix names the lock itself
+//! (every row); `rw.` its reader-writer face (every row; the RW display
+//! names and aliases such as `"RW-MCS"` and `"hemlockrw"` need no prefix);
+//! `async.` a waker queue it guards (rows with `meta.asyncable`).
+//! `hemlock-rw` and `hemlock-async` hold only their view's type mapping.
+//! Adding a lock means adding one row.
 //!
-//! This is the Rust analog of the paper's `LD_PRELOAD` interposition setup
-//! (§5): the figure/table binaries in `hemlock-bench` take
-//! `--lock <key>[,<key>…]` and resolve algorithms here instead of each
-//! carrying a private hard-coded type list.
-//!
-//! Two dispatch styles are offered:
-//!
-//! - **dynamic** — [`dyn_lock`] / [`dyn_mutex`] build boxed handles; one
-//!   vtable call per lock operation;
-//! - **static** — [`with_lock_type`] (or the [`for_each_lock!`](crate::for_each_lock) macro
-//!   directly) monomorphizes a generic visitor for the chosen key, so
-//!   benchmark inner loops stay as tight as the hand-written originals.
-//!
-//! The [`for_each_lock!`](crate::for_each_lock) macro is the single source of truth: the entry
-//! table, the static dispatcher, and the conformance suite in
-//! `tests/dyn_conformance.rs` are all generated from it.
+//! Dispatch is **dynamic** ([`dyn_lock`], [`dyn_mutex`]) or **static**
+//! ([`with_lock_type`], [`with_try_lock_type`]: a visitor monomorphized
+//! for the chosen row, so benchmark loops stay tight).
 
 use hemlock_core::dynlock::{boxed, boxed_try, DynLock, DynMutex};
 use hemlock_core::meta::LockMeta;
-use hemlock_core::raw::RawLock;
+use hemlock_core::raw::{RawLock, RawTryLock};
 
 /// Re-exports of every catalogued lock type, so `for_each_lock!` callers
 /// (and the macro's own `$crate::catalog::types::…` paths) resolve without
@@ -41,20 +35,17 @@ pub mod types {
     pub use hemlock_obs::ObservedHemlock;
 }
 
-/// Invokes a callback macro with the full catalog: a comma-separated list of
-/// `(key, [aliases…], Type, trylock-capability)` tuples, where the
-/// capability token is `try` (implements `RawTryLock`, including the timed
-/// `try_lock_for` family) or `no_try` (CLH, Anderson: a waiter cannot
-/// withdraw once advertised, so there is neither a trylock nor an
-/// abortable path — their `LockMeta` reports both honestly).
-///
-/// This is the static-dispatch counterpart of the [`ENTRIES`] table — use
-/// it to generate per-algorithm code (tests, dispatchers, tables) without
-/// re-listing the algorithms:
+/// Invokes a callback macro with the catalog, one row per algorithm:
+/// `(key, [aliases…], Type, try|no_try, (rw-name, [rw-aliases…], RwType))`.
+/// `try` rows implement `RawTryLock` (trylock and the timed family);
+/// `no_try` rows (CLH, Anderson) cannot withdraw a waiter once advertised.
+/// The last group is the RW face: display name, unprefixed aliases, and
+/// `RwFromRaw` (the adapter over `Type`) or a native RW type's name, mapped
+/// by `hemlock_rw::rw_type!`.
 ///
 /// ```
 /// macro_rules! count_locks {
-///     ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
+///     ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident, $rw:tt)),+ $(,)?) => {
 ///         const N: usize = 0 $(+ { let _ = $key; 1 })+;
 ///     };
 /// }
@@ -65,43 +56,76 @@ pub mod types {
 macro_rules! for_each_lock {
     ($cb:path) => {
         $cb! {
-            ("hemlock", ["hemlock.ctr"], $crate::catalog::types::Hemlock, try),
-            ("hemlock.naive", ["hemlock-"], $crate::catalog::types::HemlockNaive, try),
-            ("hemlock.overlap", [], $crate::catalog::types::HemlockOverlap, try),
-            ("hemlock.ah", [], $crate::catalog::types::HemlockAh, try),
-            ("hemlock.v1", ["hemlock.hov1"], $crate::catalog::types::HemlockV1, try),
-            ("hemlock.v2", ["hemlock.hov2"], $crate::catalog::types::HemlockV2, try),
-            ("hemlock.parking", ["hemlock.cv"], $crate::catalog::types::HemlockParking, try),
-            ("hemlock.chain", [], $crate::catalog::types::HemlockChain, try),
-            ("hemlock.instr", ["hemlock.instrumented"], $crate::catalog::types::HemlockInstrumented, try),
-            ("obs.hemlock", ["hemlock.obs"], $crate::catalog::types::ObservedHemlock, try),
-            ("mcs", [], $crate::catalog::types::McsLock, try),
-            ("clh", [], $crate::catalog::types::ClhLock, no_try),
-            ("ticket", [], $crate::catalog::types::TicketLock, try),
-            ("tas", [], $crate::catalog::types::TasLock, try),
-            ("ttas", [], $crate::catalog::types::TtasLock, try),
-            ("anderson", [], $crate::catalog::types::AndersonLock, no_try),
+            ("hemlock", ["hemlock.ctr"], $crate::catalog::types::Hemlock, try, ("HemlockRw", ["hemlockrw", "hemlock.rw"], HemlockRw)),
+            ("hemlock.naive", ["hemlock-"], $crate::catalog::types::HemlockNaive, try, ("RW-Hemlock-", [], RwFromRaw)),
+            ("hemlock.overlap", [], $crate::catalog::types::HemlockOverlap, try, ("RW-Hemlock+Overlap", [], RwFromRaw)),
+            ("hemlock.ah", [], $crate::catalog::types::HemlockAh, try, ("RW-Hemlock+AH", [], RwFromRaw)),
+            ("hemlock.v1", ["hemlock.hov1"], $crate::catalog::types::HemlockV1, try, ("RW-Hemlock+HOV1", [], RwFromRaw)),
+            ("hemlock.v2", ["hemlock.hov2"], $crate::catalog::types::HemlockV2, try, ("RW-Hemlock+HOV2", [], RwFromRaw)),
+            ("hemlock.parking", ["hemlock.cv"], $crate::catalog::types::HemlockParking, try, ("RW-Hemlock+CV", [], RwFromRaw)),
+            ("hemlock.chain", [], $crate::catalog::types::HemlockChain, try, ("RW-Hemlock+Chain", [], RwFromRaw)),
+            ("hemlock.instr", ["hemlock.instrumented"], $crate::catalog::types::HemlockInstrumented, try, ("RW-Hemlock(instr)", [], RwFromRaw)),
+            ("obs.hemlock", ["hemlock.obs"], $crate::catalog::types::ObservedHemlock, try, ("RW-Hemlock(obs)", [], RwFromRaw)),
+            ("mcs", [], $crate::catalog::types::McsLock, try, ("RW-MCS", [], RwFromRaw)),
+            ("clh", [], $crate::catalog::types::ClhLock, no_try, ("RW-CLH", [], RwFromRaw)),
+            ("ticket", [], $crate::catalog::types::TicketLock, try, ("RW-Ticket", [], RwFromRaw)),
+            ("tas", [], $crate::catalog::types::TasLock, try, ("RW-TAS", [], RwFromRaw)),
+            ("ttas", [], $crate::catalog::types::TtasLock, try, ("RW-TTAS", [], RwFromRaw)),
+            ("anderson", [], $crate::catalog::types::AndersonLock, no_try, ("RW-Anderson", [], RwFromRaw)),
         }
     };
 }
 
-/// One catalog entry: a stable key, spelling aliases, the algorithm's
-/// metadata, and a factory for runtime lock handles.
+/// Which face of a row a selector names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum View {
+    /// The lock itself (no prefix).
+    Exclusive,
+    /// Its reader-writer face (`rw.` prefix); covers every row.
+    Rw,
+    /// A waker queue it guards (`async.` prefix); covers asyncable rows.
+    Async,
+}
+
+impl View {
+    /// Every view, in listing order.
+    pub const ALL: [View; 3] = [View::Exclusive, View::Rw, View::Async];
+
+    /// The selector prefix naming this view.
+    pub const fn prefix(self) -> &'static str {
+        ["", "rw.", "async."][self as usize]
+    }
+
+    /// True when this view has a face for `entry`: a waiter that cannot
+    /// withdraw cannot back a cancel-safe future, so only `asyncable` rows
+    /// have an async face.
+    pub fn covers(self, entry: &CatalogEntry) -> bool {
+        self != View::Async || entry.meta.asyncable
+    }
+}
+
+/// One catalog row: selector spellings, metadata, and a handle factory.
 #[derive(Debug)]
 pub struct CatalogEntry {
-    /// Canonical selector key (`--lock` spelling), e.g. `"hemlock.v1"`.
+    /// Canonical key of the lock itself, e.g. `"hemlock.v1"`.
     pub key: &'static str,
-    /// Alternate accepted spellings.
+    /// Alternate spellings of the key.
     pub aliases: &'static [&'static str],
-    /// The algorithm's descriptor (identical to the static type's `META`).
+    /// The algorithm's descriptor: the static type's `META`, which is also
+    /// the async face's (a queue guarded by Hemlock is still Hemlock).
     pub meta: LockMeta,
+    /// The RW face's display name, e.g. `"RW-MCS"`.
+    pub rw_name: &'static str,
+    /// Unprefixed spellings of the RW face, e.g. `"hemlockrw"`.
+    pub rw_aliases: &'static [&'static str],
     /// Builds a fresh, unlocked, type-erased handle on this algorithm.
     pub make: fn() -> Box<dyn DynLock>,
+    view_keys: [&'static str; 3],
 }
 
 impl CatalogEntry {
-    /// True when `name` selects this entry: matches the key, an alias, or
-    /// the display name, ASCII-case-insensitively.
+    /// True when `name` selects the lock itself: the key, an alias, or the
+    /// display name, ASCII-case-insensitively.
     pub fn matches(&self, name: &str) -> bool {
         self.key.eq_ignore_ascii_case(name)
             || self.meta.name.eq_ignore_ascii_case(name)
@@ -109,63 +133,167 @@ impl CatalogEntry {
     }
 }
 
-macro_rules! gen_entries {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Every lock algorithm in the workspace, in catalog order
-        /// (Hemlock family first, then the baselines).
+/// A resolved selector: a row and the view it was named in.
+#[derive(Clone, Copy, Debug)]
+pub struct Selection {
+    /// The selected algorithm.
+    pub entry: &'static CatalogEntry,
+    /// The face of it the selector named.
+    pub view: View,
+}
+
+impl Selection {
+    /// The canonical key of the selection, e.g. `"async.mcs"`.
+    pub fn key(self) -> &'static str {
+        self.entry.view_keys[self.view as usize]
+    }
+}
+
+/// A computation instantiated per statically-dispatched lock type.
+pub trait LockVisitor {
+    /// Result produced per lock type.
+    type Output;
+    /// Runs with the chosen type as `L`; `meta` is the selected view's.
+    fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Self::Output;
+}
+
+/// [`LockVisitor`] for trylock-capable types: the bound gives the body
+/// `try_lock`, the `try_lock_for` family and `AsyncMutex<T, L>` at zero
+/// dispatch cost.
+pub trait TryLockVisitor {
+    /// Result produced per lock type.
+    type Output;
+    /// Runs with the chosen type as `L`; `meta` is the selected view's.
+    fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Self::Output;
+}
+
+macro_rules! gen_catalog {
+    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident, ($rw_name:literal, [$($rw_alias:literal),*], $rw:ident))),+ $(,)?) => {
+        /// Every lock algorithm, in catalog order (Hemlock family first).
         pub static ENTRIES: &[CatalogEntry] = &[
             $(CatalogEntry {
                 key: $key,
                 aliases: &[$($alias),*],
                 meta: <$ty as RawLock>::META,
-                make: gen_entries!(@maker $cap, $ty),
+                rw_name: $rw_name,
+                rw_aliases: &[$($rw_alias),*],
+                make: gen_catalog!(@make $cap, $ty),
+                view_keys: [$key, concat!("rw.", $key), concat!("async.", $key)],
             }),+
         ];
+
+        /// Statically dispatches `visitor` on `entry`'s lock type (the
+        /// exclusive face, and the async face's queue guard).
+        pub fn with_lock_type<V: LockVisitor>(entry: &CatalogEntry, visitor: V) -> V::Output {
+            match entry.key {
+                $($key => visitor.visit::<$ty>(entry.meta),)+
+                _ => unreachable!("catalog key missing from dispatch table"),
+            }
+        }
+
+        /// [`with_lock_type`] for a [`TryLockVisitor`]; `None` for `no_try`
+        /// rows.
+        pub fn with_try_lock_type<V: TryLockVisitor>(entry: &CatalogEntry, visitor: V) -> Option<V::Output> {
+            match entry.key {
+                $($key => gen_catalog!(@try $cap, $ty, visitor, entry),)+
+                _ => unreachable!("catalog key missing from dispatch table"),
+            }
+        }
     };
-    (@maker try, $ty:ty) => { boxed_try::<$ty> };
-    (@maker no_try, $ty:ty) => { boxed::<$ty> };
+    (@make try, $ty:ty) => { boxed_try::<$ty> };
+    (@make no_try, $ty:ty) => { boxed::<$ty> };
+    (@try try, $ty:ty, $visitor:ident, $entry:ident) => { Some($visitor.visit::<$ty>($entry.meta)) };
+    (@try no_try, $ty:ty, $visitor:ident, $entry:ident) => {{ let _ = $visitor; None }};
 }
-for_each_lock!(gen_entries);
+for_each_lock!(gen_catalog);
 
-/// Looks up one entry by key, alias, or display name (case-insensitive).
-pub fn find(name: &str) -> Option<&'static CatalogEntry> {
-    ENTRIES.iter().find(|e| e.matches(name.trim()))
+/// The selections of one view, in catalog order.
+pub fn view(view: View) -> impl Iterator<Item = Selection> {
+    ENTRIES
+        .iter()
+        .filter(move |e| view.covers(e))
+        .map(move |entry| Selection { entry, view })
 }
 
-/// Resolves a comma-separated selector list (the `--lock` argument) to
-/// entries, preserving order and rejecting unknown or duplicate names with
-/// a message that lists the valid keys.
-pub fn resolve_list(list: &str) -> Result<Vec<&'static CatalogEntry>, String> {
-    let mut out: Vec<&'static CatalogEntry> = Vec::new();
-    for name in list.split(',') {
-        let name = name.trim();
+/// The canonical keys of `views`, view by view.
+pub fn keys(views: &[View]) -> Vec<&'static str> {
+    views
+        .iter()
+        .flat_map(|&v| view(v).map(Selection::key))
+        .collect()
+}
+
+/// Looks up a selector in any view, case-insensitively: the prefix picks
+/// the view and the rest must select a row; unprefixed RW display names
+/// and aliases select the RW view.
+pub fn find(name: &str) -> Option<Selection> {
+    let name = name.trim();
+    for view in [View::Rw, View::Async] {
+        let p = view.prefix();
+        if name
+            .get(..p.len())
+            .is_some_and(|h| h.eq_ignore_ascii_case(p))
+        {
+            let entry = ENTRIES.iter().find(|e| e.matches(&name[p.len()..]))?;
+            return view.covers(entry).then_some(Selection { entry, view });
+        }
+    }
+    let rw = |e: &&CatalogEntry| {
+        e.rw_name.eq_ignore_ascii_case(name)
+            || e.rw_aliases.iter().any(|a| a.eq_ignore_ascii_case(name))
+    };
+    match ENTRIES.iter().find(|e| e.matches(name)) {
+        Some(entry) => Some(Selection {
+            entry,
+            view: View::Exclusive,
+        }),
+        None => ENTRIES.iter().find(rw).map(|entry| Selection {
+            entry,
+            view: View::Rw,
+        }),
+    }
+}
+
+/// [`find`] restricted to `views`, with an error that lists their keys.
+pub fn resolve(name: &str, views: &[View]) -> Result<Selection, String> {
+    let name = name.trim();
+    find(name)
+        .filter(|s| views.contains(&s.view))
+        .ok_or_else(|| {
+            let label = match views {
+                [View::Rw] => "RW ",
+                [View::Async] => "async ",
+                _ => "",
+            };
+            let known = keys(views).join(", ");
+            format!("unknown {label}lock {name:?}; known {label}locks: {known}")
+        })
+}
+
+/// Resolves a comma-separated selector list (the `--lock` argument) within
+/// `views`, preserving order and rejecting empty, unknown or duplicate
+/// names with a message that lists the valid keys.
+pub fn resolve_list(list: &str, views: &[View]) -> Result<Vec<Selection>, String> {
+    let mut out: Vec<Selection> = Vec::new();
+    for name in list.split(',').map(str::trim) {
         if name.is_empty() {
+            let known = keys(views).join(", ");
             return Err(format!(
-                "empty lock name in {list:?}; expected a comma-separated subset of: {}",
-                keys().join(", ")
+                "empty lock name in {list:?}; expected a comma-separated subset of: {known}"
             ));
         }
-        let entry = find(name)
-            .ok_or_else(|| format!("unknown lock {name:?}; known locks: {}", keys().join(", ")))?;
-        if out.iter().any(|e| core::ptr::eq(*e, entry)) {
+        let picked = resolve(name, views)?;
+        if out.iter().any(|s| s.key() == picked.key()) {
             return Err(format!("lock {name:?} selected twice in {list:?}"));
         }
-        out.push(entry);
+        out.push(picked);
     }
     Ok(out)
 }
 
-/// All canonical keys, in catalog order.
-pub fn keys() -> Vec<&'static str> {
-    ENTRIES.iter().map(|e| e.key).collect()
-}
-
-/// Entries suited to *many-instance* deployments such as sharded lock
-/// tables: compact bodies (≤ 2 words) and trivial construction, judged from
-/// each entry's [`LockMeta`]. This is the paper's headline trade-off — a
-/// one-word lock makes millions of instances affordable — so `shardkv` and
-/// `hemlock-shard` default to this subset (excluding CLH, whose per-lock
-/// dummy element costs a padded cache line, and Anderson's waiting array).
+/// Entries suited to *many-instance* deployments such as sharded tables,
+/// judged from [`LockMeta`]: bodies ≤ 2 words and trivial construction
+/// (not CLH's padded dummy element or Anderson's waiting array).
 pub fn shard_friendly() -> Vec<&'static CatalogEntry> {
     ENTRIES
         .iter()
@@ -173,21 +301,15 @@ pub fn shard_friendly() -> Vec<&'static CatalogEntry> {
         .collect()
 }
 
-/// Entries supporting **abortable (timed) acquisition** — `try_lock_for`
-/// returns within the deadline bound and an aborted waiter never acquires
-/// later — judged from each entry's [`LockMeta`]. `timeoutbench` sweeps
-/// exactly this subset; CLH and Anderson are excluded because a waiter
-/// cannot withdraw once it has advertised itself (CLH's tail link,
-/// Anderson's claimed array slot).
+/// Entries supporting **abortable (timed) acquisition**, judged from
+/// [`LockMeta`] — not CLH or Anderson, whose waiters cannot withdraw.
 pub fn abortable() -> Vec<&'static CatalogEntry> {
     ENTRIES.iter().filter(|e| e.meta.abortable).collect()
 }
 
 /// Builds a runtime lock handle for `name`.
 pub fn dyn_lock(name: &str) -> Result<Box<dyn DynLock>, String> {
-    let entry = find(name)
-        .ok_or_else(|| format!("unknown lock {name:?}; known locks: {}", keys().join(", ")))?;
-    Ok((entry.make)())
+    Ok((resolve(name, &[View::Exclusive])?.entry.make)())
 }
 
 /// Builds a [`DynMutex`] protecting `value` with the algorithm `name`.
@@ -195,103 +317,66 @@ pub fn dyn_mutex<T>(name: &str, value: T) -> Result<DynMutex<T>, String> {
     Ok(DynMutex::new(dyn_lock(name)?, value))
 }
 
-/// A generic computation instantiated per statically-dispatched lock type —
-/// the visitor side of [`with_lock_type`].
-pub trait LockVisitor {
-    /// Result produced per lock type.
-    type Output;
-    /// Runs the computation with the chosen algorithm as `L`.
-    fn visit<L: RawLock + 'static>(self, entry: &'static CatalogEntry) -> Self::Output;
-}
-
-macro_rules! gen_dispatch {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the algorithm selected by
-        /// `name`: the visitor's generic `visit` is monomorphized for the
-        /// matching type, so the hot path carries no vtable indirection.
-        /// Returns `None` for unknown names.
-        pub fn with_lock_type<V: LockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => Some(visitor.visit::<$ty>(entry)),)+
-                _ => unreachable!("catalog key missing from dispatch table"),
-            }
-        }
-    };
-}
-for_each_lock!(gen_dispatch);
-
-/// A generic computation instantiated per statically-dispatched
-/// **trylock/timed-capable** lock type — the visitor side of
-/// [`with_timed_lock_type`]. The `RawTryLock` bound gives the visitor's
-/// body `try_lock` and the `try_lock_for` family at zero dispatch cost,
-/// which is how `timeoutbench` keeps its measurement loop monomorphized.
-pub trait TimedLockVisitor {
-    /// Result produced per lock type.
-    type Output;
-    /// Runs the computation with the chosen algorithm as `L`.
-    fn visit<L: hemlock_core::raw::RawTryLock + 'static>(
-        self,
-        entry: &'static CatalogEntry,
-    ) -> Self::Output;
-}
-
-macro_rules! gen_timed_dispatch {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the algorithm selected by
-        /// `name`, restricted to the trylock/timed-capable subset. Returns
-        /// `None` for unknown names **and** for known entries without a
-        /// trylock path (CLH, Anderson) — check
-        /// [`CatalogEntry::meta`]`.abortable` to distinguish.
-        pub fn with_timed_lock_type<V: TimedLockVisitor>(
-            name: &str,
-            visitor: V,
-        ) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => gen_timed_dispatch!(@arm $cap, $ty, visitor, entry),)+
-                _ => unreachable!("catalog key missing from timed dispatch table"),
-            }
-        }
-    };
-    (@arm try, $ty:ty, $visitor:ident, $entry:ident) => {
-        Some($visitor.visit::<$ty>($entry))
-    };
-    (@arm no_try, $ty:ty, $visitor:ident, $entry:ident) => {{
-        let _ = $visitor;
-        None
-    }};
-}
-for_each_lock!(gen_timed_dispatch);
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn finds_by_key_alias_display_name_case_insensitively() {
-        assert_eq!(find("hemlock").unwrap().meta.name, "Hemlock");
-        assert_eq!(find("hemlock.ctr").unwrap().key, "hemlock");
-        assert_eq!(find("Hemlock-").unwrap().key, "hemlock.naive");
-        assert_eq!(find("MCS").unwrap().key, "mcs");
-        assert_eq!(find("mCs").unwrap().key, "mcs");
+        assert_eq!(find("hemlock").unwrap().entry.meta.name, "Hemlock");
+        assert_eq!(find("hemlock.ctr").unwrap().key(), "hemlock");
+        assert_eq!(find("Hemlock-").unwrap().key(), "hemlock.naive");
+        assert_eq!(find("MCS").unwrap().key(), "mcs");
+        assert_eq!(find("mCs").unwrap().key(), "mcs");
         assert!(find("nope").is_none());
     }
 
     #[test]
     fn resolve_list_preserves_order_and_reports_errors() {
-        let picked = resolve_list("mcs, clh,hemlock").unwrap();
+        let ex = &[View::Exclusive];
+        let picked = resolve_list("mcs, clh,hemlock", ex).unwrap();
         assert_eq!(
-            picked.iter().map(|e| e.key).collect::<Vec<_>>(),
+            picked.iter().map(|s| s.key()).collect::<Vec<_>>(),
             ["mcs", "clh", "hemlock"]
         );
-        assert!(resolve_list("mcs,bogus")
+        assert!(resolve_list("mcs,bogus", ex)
             .unwrap_err()
             .contains("known locks"));
-        assert!(resolve_list("mcs,,clh")
+        assert!(resolve_list("mcs,,clh", ex)
             .unwrap_err()
             .contains("empty lock name"));
-        assert!(resolve_list("mcs,MCS").unwrap_err().contains("twice"));
+        assert!(resolve_list("mcs,MCS", ex).unwrap_err().contains("twice"));
+    }
+
+    #[test]
+    fn prefixes_pick_views_and_views_filter_the_resolver() {
+        let picked = resolve_list("hemlock,rw.hemlock,async.mcs", &View::ALL).unwrap();
+        assert_eq!(
+            picked.iter().map(|s| (s.view, s.key())).collect::<Vec<_>>(),
+            [
+                (View::Exclusive, "hemlock"),
+                (View::Rw, "rw.hemlock"),
+                (View::Async, "async.mcs")
+            ]
+        );
+        assert!(resolve_list("rw.mcs,RW-MCS", &View::ALL)
+            .unwrap_err()
+            .contains("twice"));
+        // Unwithdrawable rows have no async face.
+        for name in ["async.clh", "async.anderson"] {
+            assert!(find(name).is_none(), "{name}");
+            assert!(resolve(name, &View::ALL).is_err(), "{name}");
+        }
+        // A view outside the caller's set is unknown to it.
+        assert!(resolve("rw.mcs", &[View::Exclusive])
+            .unwrap_err()
+            .contains("unknown lock"));
+        assert!(resolve("mcs", &[View::Async])
+            .unwrap_err()
+            .contains("known async locks"));
+        assert!(resolve("bogus", &[View::Rw])
+            .unwrap_err()
+            .contains("known RW locks"));
     }
 
     #[test]
@@ -355,12 +440,9 @@ mod tests {
     #[test]
     fn timed_dispatch_covers_exactly_the_try_capable_entries() {
         struct TimedProbe;
-        impl TimedLockVisitor for TimedProbe {
+        impl TryLockVisitor for TimedProbe {
             type Output = bool;
-            fn visit<L: hemlock_core::raw::RawTryLock + 'static>(
-                self,
-                _entry: &'static CatalogEntry,
-            ) -> bool {
+            fn visit<L: RawTryLock + 'static>(self, _meta: LockMeta) -> bool {
                 let l = L::default();
                 let got = l.try_lock_for(core::time::Duration::from_millis(5));
                 if got {
@@ -371,13 +453,13 @@ mod tests {
             }
         }
         for entry in ENTRIES {
-            let hit = with_timed_lock_type(entry.key, TimedProbe);
+            let hit = with_try_lock_type(entry, TimedProbe);
             assert_eq!(hit.is_some(), entry.meta.try_lock, "{}", entry.key);
             if let Some(acquired) = hit {
                 assert!(acquired, "{}: free timed acquire must succeed", entry.key);
             }
         }
-        assert!(with_timed_lock_type("bogus", TimedProbe).is_none());
+        assert!(find("bogus").is_none());
     }
 
     #[test]
@@ -387,6 +469,7 @@ mod tests {
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.meta().name, "Ticket");
         assert!(dyn_mutex("bogus", 0).is_err());
+        assert!(dyn_mutex("rw.ticket", 0).is_err());
     }
 
     #[test]
@@ -394,14 +477,14 @@ mod tests {
         struct NameOf;
         impl LockVisitor for NameOf {
             type Output = (&'static str, usize);
-            fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> Self::Output {
+            fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Self::Output {
+                assert_eq!(meta, L::META);
                 (L::META.name, core::mem::size_of::<L>())
             }
         }
-        let (name, size) = with_lock_type("mcs", NameOf).unwrap();
+        let (name, size) = with_lock_type(find("mcs").unwrap().entry, NameOf);
         assert_eq!(name, "MCS");
         assert_eq!(size, core::mem::size_of::<crate::McsLock>());
-        assert!(with_lock_type("bogus", NameOf).is_none());
     }
 
     #[test]
@@ -440,7 +523,7 @@ mod tests {
 
     #[test]
     fn keys_are_unique_and_nonempty() {
-        let keys = keys();
+        let keys = keys(&View::ALL);
         assert!(keys.len() >= 15);
         let mut dedup = keys.clone();
         dedup.sort_unstable();

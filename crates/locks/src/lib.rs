@@ -23,12 +23,13 @@
 //! All implement [`hemlock_core::RawLock`], so they slot into the same
 //! `Mutex<T, L>`, benchmarks, and tests as the Hemlock family.
 //!
-//! This crate also hosts the [`catalog`] — the unified registry mapping
-//! string keys (`"hemlock"`, `"mcs"`, `"clh"`, …) to lock factories and
-//! [`hemlock_core::LockMeta`] descriptors, with both dynamic
-//! ([`catalog::dyn_mutex`]) and static ([`catalog::with_lock_type`],
-//! [`for_each_lock!`]) dispatch. The `hemlock-bench` binaries resolve their
-//! `--lock` arguments here.
+//! This crate also hosts the [`catalog`] — the one list of lock algorithms
+//! ([`for_each_lock!`], one row per lock) mapping string keys (`"hemlock"`,
+//! `"mcs"`, `"clh"`, …) to lock factories and [`hemlock_core::LockMeta`]
+//! descriptors. The `rw.` and `async.` views are derived from each row's
+//! `LockMeta` bits, so adding a lock means adding one row. Both dynamic
+//! ([`catalog::dyn_mutex`]) and static ([`catalog::with_lock_type`])
+//! dispatch are offered; every `--lock` argument resolves here.
 
 #![deny(missing_docs)]
 

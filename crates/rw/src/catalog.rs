@@ -1,190 +1,74 @@
-//! The reader-writer lock catalog: `rw.*` keys.
-//!
-//! Every algorithm in the exclusive catalog (`hemlock_locks::catalog`)
-//! gains a reader-writer counterpart here under the same key with an `rw.`
-//! prefix — `"rw.mcs"`, `"rw.clh"`, `"rw.ticket"`, … — built with the
-//! generic [`RwFromRaw`](crate::RwFromRaw) adapter, while `"rw.hemlock"`
-//! resolves to the native [`HemlockRw`](crate::HemlockRw) with its striped
-//! read-indicator. As in the exclusive catalog, two dispatch styles are
-//! offered:
-//!
-//! - **dynamic** — [`dyn_rw_lock`] / [`dyn_rw_mutex`] build boxed
-//!   [`DynRwLock`] handles for the runtime-selection layer
-//!   ([`DynRwMutex`]);
-//! - **static** — [`with_rw_lock_type`] monomorphizes a generic visitor
-//!   for the chosen key, so benchmark inner loops carry no vtable
-//!   indirection; [`with_any_lock_type`] extends the dispatch to the
-//!   exclusive catalog's keys (whose `read_lock` degrades to the exclusive
-//!   path), which is how `rwbench` compares `rw.hemlock` against plain
-//!   `hemlock` under one measurement loop.
-//!
-//! The [`for_each_rw_lock!`](crate::for_each_rw_lock) macro is the single
-//! source of truth for the `rw.*` entries; a conformance test asserts it
-//! stays in sync with the exclusive catalog (every exclusive key has an
-//! `rw.` counterpart).
-//!
-//! Display names are patched per entry (`"RW-MCS"`, `"RW-CLH"`, …): Rust
-//! has no `const` string concatenation, so [`RwFromRaw`](crate::RwFromRaw)'s
-//! own `META` carries the inner lock's name and the catalog supplies the
-//! prefixed spelling both in its [`RwCatalogEntry::meta`] and to the
-//! [`DynRwAdapter`] factory.
+//! The RW view of the lock catalog (`hemlock_locks::catalog`): `rw.*`
+//! selectors. Each row's RW face is [`RwFromRaw`](crate::RwFromRaw) over
+//! the row's lock, or the native type the row names
+//! ([`HemlockRw`](crate::HemlockRw) for `"rw.hemlock"`). Its [`LockMeta`]
+//! is that type's `META` with the display name patched to the row's
+//! `rw_name` (`"RW-MCS"`); Rust has no `const` string concatenation.
 
 use hemlock_core::dynrw::{DynRwAdapter, DynRwLock, DynRwMutex, DynRwTimedAdapter};
 use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawLock;
+use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor, TryLockVisitor, View};
 
-/// Re-exports of every type the [`for_each_rw_lock!`](crate::for_each_rw_lock)
-/// expansion names, so callers need no direct dependency on `hemlock-core`
-/// / `hemlock-locks`.
-pub mod types {
-    pub use crate::{HemlockRw, RwFromRaw};
-    pub use hemlock_core::hemlock::{
-        Hemlock, HemlockAh, HemlockChain, HemlockInstrumented, HemlockNaive, HemlockOverlap,
-        HemlockParking, HemlockV1, HemlockV2,
-    };
-    pub use hemlock_locks::catalog::types::ObservedHemlock;
-    pub use hemlock_locks::{AndersonLock, ClhLock, McsLock, TasLock, TicketLock, TtasLock};
-}
-
-/// Invokes a callback macro with the full RW catalog: a comma-separated
-/// list of `(key, display-name, [aliases…], Type, capability)` tuples. The
-/// display name is the `LockMeta::name` the catalog reports for the entry
-/// (the type's own `META` keeps the inner lock's name — see the module
-/// docs). The capability token is `timed` (implements `RawTryLock`, so the
-/// entry has trylock *and* the abortable `try_lock_for` family in both
-/// modes) or `no_timed` (the gate cannot trylock — CLH, Anderson — so
-/// neither can the adapter; its `LockMeta` reports both honestly).
-///
-/// This is the RW counterpart of `hemlock_locks::for_each_lock!`; use it
-/// to generate per-algorithm code (tests, dispatchers) without re-listing
-/// the entries.
+/// Maps a catalog row's RW slot to its type: `rw_type!(RwFromRaw, L)` is
+/// [`RwFromRaw<L>`](crate::RwFromRaw); `rw_type!(HemlockRw, L)` is
+/// [`HemlockRw`](crate::HemlockRw).
 #[macro_export]
-macro_rules! for_each_rw_lock {
-    ($cb:path) => {
-        $cb! {
-            ("rw.hemlock", "HemlockRw", ["hemlockrw", "hemlock.rw"], $crate::catalog::types::HemlockRw, timed),
-            ("rw.hemlock.naive", "RW-Hemlock-", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockNaive>, timed),
-            ("rw.hemlock.overlap", "RW-Hemlock+Overlap", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockOverlap>, timed),
-            ("rw.hemlock.ah", "RW-Hemlock+AH", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockAh>, timed),
-            ("rw.hemlock.v1", "RW-Hemlock+HOV1", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockV1>, timed),
-            ("rw.hemlock.v2", "RW-Hemlock+HOV2", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockV2>, timed),
-            ("rw.hemlock.parking", "RW-Hemlock+CV", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockParking>, timed),
-            ("rw.hemlock.chain", "RW-Hemlock+Chain", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockChain>, timed),
-            ("rw.hemlock.instr", "RW-Hemlock(instr)", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::HemlockInstrumented>, timed),
-            ("rw.obs.hemlock", "RW-Hemlock(obs)", ["rw.hemlock.obs"], $crate::catalog::types::RwFromRaw<$crate::catalog::types::ObservedHemlock>, timed),
-            ("rw.mcs", "RW-MCS", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::McsLock>, timed),
-            ("rw.clh", "RW-CLH", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::ClhLock>, no_timed),
-            ("rw.ticket", "RW-Ticket", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::TicketLock>, timed),
-            ("rw.tas", "RW-TAS", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::TasLock>, timed),
-            ("rw.ttas", "RW-TTAS", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::TtasLock>, timed),
-            ("rw.anderson", "RW-Anderson", [], $crate::catalog::types::RwFromRaw<$crate::catalog::types::AndersonLock>, no_timed),
-        }
-    };
+macro_rules! rw_type {
+    (RwFromRaw, $ty:ty) => { $crate::RwFromRaw<$ty> };
+    (HemlockRw, $ty:ty) => { $crate::HemlockRw };
 }
 
-/// One RW catalog entry: a stable key, spelling aliases, the (display-name
-/// patched) metadata, and a factory for runtime reader-writer handles.
-#[derive(Debug)]
-pub struct RwCatalogEntry {
-    /// Canonical selector key (`--lock` spelling), e.g. `"rw.mcs"`.
-    pub key: &'static str,
-    /// Alternate accepted spellings.
-    pub aliases: &'static [&'static str],
-    /// The entry's descriptor: the implementing type's `META` with the
-    /// display name patched to the catalog spelling (`"RW-MCS"`).
-    pub meta: LockMeta,
-    /// Builds a fresh, unlocked, type-erased handle on this algorithm.
-    pub make: fn() -> Box<dyn DynRwLock>,
-}
-
-impl RwCatalogEntry {
-    /// True when `name` selects this entry: matches the key, an alias, or
-    /// the display name, ASCII-case-insensitively.
-    pub fn matches(&self, name: &str) -> bool {
-        self.key.eq_ignore_ascii_case(name)
-            || self.meta.name.eq_ignore_ascii_case(name)
-            || self.aliases.iter().any(|a| a.eq_ignore_ascii_case(name))
+fn rw_meta<L: RawLock>(entry: &CatalogEntry) -> LockMeta {
+    LockMeta {
+        name: entry.rw_name,
+        ..L::META
     }
 }
 
-macro_rules! gen_rw_entries {
-    ($(($key:literal, $display:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Every reader-writer algorithm, in catalog order (the native
-        /// `rw.hemlock` first, then the `RwFromRaw` adapters mirroring the
-        /// exclusive catalog). `timed` entries build handles whose
-        /// [`DynRwLock::try_read_lock_for`] / `try_write_lock_for` are
-        /// real; `no_timed` handles report `Unsupported`.
-        pub static ENTRIES: &[RwCatalogEntry] = &[
-            $(RwCatalogEntry {
-                key: $key,
-                aliases: &[$($alias),*],
-                meta: {
-                    let mut m = <$ty as RawLock>::META;
-                    m.name = $display;
-                    m
-                },
-                make: || {
-                    let mut m = <$ty as RawLock>::META;
-                    m.name = $display;
-                    gen_rw_entries!(@make $cap, $ty, m)
-                },
-            }),+
-        ];
-    };
-    (@make timed, $ty:ty, $meta:ident) => {
-        Box::new(DynRwTimedAdapter::<$ty>::with_meta($meta))
-    };
-    (@make no_timed, $ty:ty, $meta:ident) => {
-        Box::new(DynRwAdapter::<$ty>::with_meta($meta))
-    };
-}
-for_each_rw_lock!(gen_rw_entries);
-
-/// Looks up one entry by key, alias, or display name (case-insensitive).
-pub fn find(name: &str) -> Option<&'static RwCatalogEntry> {
-    ENTRIES.iter().find(|e| e.matches(name.trim()))
-}
-
-/// Resolves a comma-separated selector list to RW entries, preserving
-/// order and rejecting unknown or duplicate names.
-pub fn resolve_list(list: &str) -> Result<Vec<&'static RwCatalogEntry>, String> {
-    let mut out: Vec<&'static RwCatalogEntry> = Vec::new();
-    for name in list.split(',') {
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!(
-                "empty lock name in {list:?}; expected a comma-separated subset of: {}",
-                keys().join(", ")
-            ));
+macro_rules! gen_rw_view {
+    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident, ($rw_name:literal, [$($rw_alias:literal),*], $rw:ident))),+ $(,)?) => {
+        /// Statically dispatches `visitor` on `entry`'s RW type.
+        pub fn with_rw_lock_type<V: LockVisitor>(entry: &CatalogEntry, visitor: V) -> V::Output {
+            match entry.key {
+                $($key => visitor.visit::<rw_type!($rw, $ty)>(rw_meta::<rw_type!($rw, $ty)>(entry)),)+
+                _ => unreachable!("catalog key missing from RW dispatch table"),
+            }
         }
-        let entry = find(name).ok_or_else(|| {
-            format!(
-                "unknown RW lock {name:?}; known RW locks: {}",
-                keys().join(", ")
-            )
-        })?;
-        if out.iter().any(|e| core::ptr::eq(*e, entry)) {
-            return Err(format!("lock {name:?} selected twice in {list:?}"));
-        }
-        out.push(entry);
-    }
-    Ok(out)
-}
 
-/// All canonical RW keys, in catalog order.
-pub fn keys() -> Vec<&'static str> {
-    ENTRIES.iter().map(|e| e.key).collect()
+        /// [`with_rw_lock_type`] for a [`TryLockVisitor`]; `None` for
+        /// `no_try` rows (`rw.clh`, `rw.anderson`).
+        pub fn with_try_rw_lock_type<V: TryLockVisitor>(entry: &CatalogEntry, visitor: V) -> Option<V::Output> {
+            match entry.key {
+                $($key => gen_rw_view!(@try $cap, rw_type!($rw, $ty), visitor, entry),)+
+                _ => unreachable!("catalog key missing from RW dispatch table"),
+            }
+        }
+
+        /// Builds a fresh, unlocked handle on `entry`'s RW face; its timed
+        /// paths are real exactly for `try` rows.
+        pub fn make(entry: &CatalogEntry) -> Box<dyn DynRwLock> {
+            match entry.key {
+                $($key => gen_rw_view!(@make $cap, rw_type!($rw, $ty), entry),)+
+                _ => unreachable!("catalog key missing from RW dispatch table"),
+            }
+        }
+    };
+    (@try try, $ty:ty, $visitor:ident, $entry:ident) => { Some($visitor.visit::<$ty>(rw_meta::<$ty>($entry))) };
+    (@try no_try, $ty:ty, $visitor:ident, $entry:ident) => {{ let _ = $visitor; None }};
+    (@make try, $ty:ty, $entry:ident) => { Box::new(DynRwTimedAdapter::<$ty>::with_meta(rw_meta::<$ty>($entry))) };
+    (@make no_try, $ty:ty, $entry:ident) => { Box::new(DynRwAdapter::<$ty>::with_meta(rw_meta::<$ty>($entry))) };
+}
+hemlock_locks::for_each_lock!(gen_rw_view);
+
+/// The RW face's descriptor, as its runtime handle reports it.
+pub fn meta(entry: &CatalogEntry) -> LockMeta {
+    make(entry).meta()
 }
 
 /// Builds a runtime reader-writer lock handle for `name`.
 pub fn dyn_rw_lock(name: &str) -> Result<Box<dyn DynRwLock>, String> {
-    let entry = find(name).ok_or_else(|| {
-        format!(
-            "unknown RW lock {name:?}; known RW locks: {}",
-            keys().join(", ")
-        )
-    })?;
-    Ok((entry.make)())
+    Ok(make(catalog::resolve(name, &[View::Rw])?.entry))
 }
 
 /// Builds a [`DynRwMutex`] protecting `value` with the algorithm `name`.
@@ -192,165 +76,61 @@ pub fn dyn_rw_mutex<T>(name: &str, value: T) -> Result<DynRwMutex<T>, String> {
     Ok(DynRwMutex::new(dyn_rw_lock(name)?, value))
 }
 
-/// A generic computation instantiated per statically-dispatched lock type.
-///
-/// The bound is [`RawLock`], not [`RawRwLock`](hemlock_core::RawRwLock):
-/// RW types implement both
-/// (their `read_lock` shares, the exclusive catalog's degrades), so one
-/// visitor can be dispatched over *either* catalog via
-/// [`with_any_lock_type`] — the shape `rwbench` uses to compare shared
-/// against exclusive read paths with an identical measurement loop.
-pub trait RwLockVisitor {
-    /// Result produced per lock type.
-    type Output;
-    /// Runs the computation with the chosen algorithm as `L`; `meta` is
-    /// the catalog entry's descriptor (display name included).
-    fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Self::Output;
-}
-
-macro_rules! gen_rw_dispatch {
-    ($(($key:literal, $display:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the RW algorithm selected by
-        /// `name`. Returns `None` for unknown names.
-        pub fn with_rw_lock_type<V: RwLockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => Some(visitor.visit::<$ty>(entry.meta)),)+
-                _ => unreachable!("rw catalog key missing from dispatch table"),
-            }
-        }
-    };
-}
-for_each_rw_lock!(gen_rw_dispatch);
-
-/// A generic computation instantiated per statically-dispatched
-/// **timed-capable** lock type: the visitor's `RawTryLock` bound provides
-/// `try_lock_for` / `try_read_lock_for` in the monomorphized body — the
-/// shape `timeoutbench` and `rwbench --timeout` measure through.
-pub trait TimedRwLockVisitor {
-    /// Result produced per lock type.
-    type Output;
-    /// Runs the computation with the chosen algorithm as `L`; `meta` is
-    /// the catalog entry's descriptor (display name included).
-    fn visit<L: hemlock_core::raw::RawTryLock + 'static>(self, meta: LockMeta) -> Self::Output;
-}
-
-macro_rules! gen_timed_rw_dispatch {
-    ($(($key:literal, $display:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the RW algorithm selected by
-        /// `name`, restricted to the timed-capable subset. Returns `None`
-        /// for unknown names **and** for known entries without an
-        /// abortable path (`rw.clh`, `rw.anderson`) — check
-        /// [`RwCatalogEntry::meta`]`.abortable` to distinguish.
-        pub fn with_timed_rw_lock_type<V: TimedRwLockVisitor>(
-            name: &str,
-            visitor: V,
-        ) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => gen_timed_rw_dispatch!(@arm $cap, $ty, visitor, entry),)+
-                _ => unreachable!("rw catalog key missing from timed dispatch table"),
-            }
-        }
-    };
-    (@arm timed, $ty:ty, $visitor:ident, $entry:ident) => {
-        Some($visitor.visit::<$ty>($entry.meta))
-    };
-    (@arm no_timed, $ty:ty, $visitor:ident, $entry:ident) => {{
-        let _ = $visitor;
-        None
-    }};
-}
-for_each_rw_lock!(gen_timed_rw_dispatch);
-
-/// Statically dispatches a timed visitor on `name` resolved against
-/// **both** catalogs, mirroring [`with_any_lock_type`]: `rw.*` keys hit
-/// this crate's timed registry; anything else falls through to the
-/// exclusive catalog's timed subset (where the shared timed path degrades
-/// to the exclusive one). Returns `None` when the name is unknown or the
-/// resolved entry has no abortable path.
-pub fn with_any_timed_lock_type<V: TimedRwLockVisitor>(
-    name: &str,
-    visitor: V,
-) -> Option<V::Output> {
-    if find(name).is_some() {
-        return with_timed_rw_lock_type(name, visitor);
-    }
-    struct Bridge<V>(V);
-    impl<V: TimedRwLockVisitor> hemlock_locks::catalog::TimedLockVisitor for Bridge<V> {
-        type Output = V::Output;
-        fn visit<L: hemlock_core::raw::RawTryLock + 'static>(
-            self,
-            entry: &'static hemlock_locks::catalog::CatalogEntry,
-        ) -> V::Output {
-            self.0.visit::<L>(entry.meta)
-        }
-    }
-    hemlock_locks::catalog::with_timed_lock_type(name, Bridge(visitor))
-}
-
-/// Statically dispatches `visitor` on `name` resolved against **both**
-/// catalogs: `rw.*` keys hit this crate's registry; anything else falls
-/// through to the exclusive catalog (where `read_lock` degrades to the
-/// exclusive path). Returns `None` when neither catalog knows the name.
-pub fn with_any_lock_type<V: RwLockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
-    if find(name).is_some() {
-        return with_rw_lock_type(name, visitor);
-    }
-    struct Bridge<V>(V);
-    impl<V: RwLockVisitor> hemlock_locks::catalog::LockVisitor for Bridge<V> {
-        type Output = V::Output;
-        fn visit<L: RawLock + 'static>(
-            self,
-            entry: &'static hemlock_locks::catalog::CatalogEntry,
-        ) -> V::Output {
-            self.0.visit::<L>(entry.meta)
-        }
-    }
-    hemlock_locks::catalog::with_lock_type(name, Bridge(visitor))
-}
-
-/// All keys [`with_any_lock_type`] accepts: the exclusive catalog's, then
-/// the RW catalog's.
-pub fn all_keys() -> Vec<&'static str> {
-    let mut out = hemlock_locks::catalog::keys();
-    out.extend(keys());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hemlock_core::raw::RawTryLock;
+    use hemlock_locks::catalog::{find, keys, resolve_list, ENTRIES};
+
+    /// Mixed-view static dispatch, the way `rwbench` runs it: `rw.*`
+    /// selections reach the RW face, anything else the lock itself.
+    fn dispatch<V: LockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
+        let sel = find(name)?;
+        Some(match sel.view {
+            View::Rw => with_rw_lock_type(sel.entry, visitor),
+            _ => catalog::with_lock_type(sel.entry, visitor),
+        })
+    }
+
+    fn dispatch_timed<V: TryLockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
+        let sel = find(name)?;
+        match sel.view {
+            View::Rw => with_try_rw_lock_type(sel.entry, visitor),
+            _ => catalog::with_try_lock_type(sel.entry, visitor),
+        }
+    }
 
     #[test]
     fn every_exclusive_key_has_an_rw_counterpart() {
-        for entry in hemlock_locks::catalog::ENTRIES {
+        for entry in ENTRIES {
             let rw_key = format!("rw.{}", entry.key);
             let rw = find(&rw_key)
                 .unwrap_or_else(|| panic!("no RW counterpart for catalog key {}", entry.key));
-            assert!(rw.meta.rw, "{rw_key}: descriptor must advertise rw");
+            assert_eq!((rw.view, rw.key()), (View::Rw, rw_key.as_str()));
+            let rw = meta(rw.entry);
+            assert!(rw.rw, "{rw_key}: descriptor must advertise rw");
             // Trylock/abortable capability mirrors the gate's: a CLH gate
             // cannot withdraw, so neither can its adapter.
             assert_eq!(
-                rw.meta.try_lock, entry.meta.try_lock,
+                rw.try_lock, entry.meta.try_lock,
                 "{rw_key}: trylock capability must mirror the gate"
             );
             assert_eq!(
-                rw.meta.abortable, entry.meta.abortable,
+                rw.abortable, entry.meta.abortable,
                 "{rw_key}: abortable capability must mirror the gate"
             );
         }
-        assert_eq!(ENTRIES.len(), hemlock_locks::catalog::ENTRIES.len());
+        assert_eq!(catalog::view(View::Rw).count(), ENTRIES.len());
     }
 
     #[test]
     fn timed_capability_agrees_between_meta_and_dyn_handle() {
         use core::time::Duration;
         for entry in ENTRIES {
-            let lock = (entry.make)();
+            let lock = make(entry);
             let read = lock.try_read_lock_for(Duration::from_millis(5));
             let write = lock.try_write_lock_for(Duration::from_millis(5));
-            if entry.meta.abortable {
+            if meta(entry).abortable {
                 // Free lock: the read attempt must have been admitted; the
                 // write attempt then timed out behind it (readers exclude
                 // writers) — both through the vtable.
@@ -376,12 +156,9 @@ mod tests {
     #[test]
     fn timed_dispatch_reaches_both_catalogs_and_skips_unwithdrawable_entries() {
         struct TimedRoundtrip;
-        impl TimedRwLockVisitor for TimedRoundtrip {
+        impl TryLockVisitor for TimedRoundtrip {
             type Output = &'static str;
-            fn visit<L: hemlock_core::raw::RawTryLock + 'static>(
-                self,
-                meta: LockMeta,
-            ) -> Self::Output {
+            fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Self::Output {
                 let l = L::default();
                 assert!(
                     l.try_lock_for(core::time::Duration::from_millis(5)),
@@ -401,45 +178,34 @@ mod tests {
             }
         }
         assert_eq!(
-            with_any_timed_lock_type("rw.hemlock", TimedRoundtrip),
+            dispatch_timed("rw.hemlock", TimedRoundtrip),
             Some("HemlockRw")
         );
-        assert_eq!(
-            with_any_timed_lock_type("rw.mcs", TimedRoundtrip),
-            Some("RW-MCS")
-        );
-        assert_eq!(
-            with_any_timed_lock_type("hemlock", TimedRoundtrip),
-            Some("Hemlock")
-        );
-        assert_eq!(
-            with_any_timed_lock_type("ticket", TimedRoundtrip),
-            Some("Ticket")
-        );
-        // Known but unwithdrawable names dispatch to None in both catalogs.
-        assert_eq!(with_any_timed_lock_type("rw.clh", TimedRoundtrip), None);
-        assert_eq!(with_any_timed_lock_type("clh", TimedRoundtrip), None);
-        assert_eq!(with_any_timed_lock_type("bogus", TimedRoundtrip), None);
+        assert_eq!(dispatch_timed("rw.mcs", TimedRoundtrip), Some("RW-MCS"));
+        assert_eq!(dispatch_timed("hemlock", TimedRoundtrip), Some("Hemlock"));
+        assert_eq!(dispatch_timed("ticket", TimedRoundtrip), Some("Ticket"));
+        // Known but unwithdrawable names dispatch to None in both views.
+        assert_eq!(dispatch_timed("rw.clh", TimedRoundtrip), None);
+        assert_eq!(dispatch_timed("clh", TimedRoundtrip), None);
+        assert_eq!(dispatch_timed("bogus", TimedRoundtrip), None);
     }
 
     #[test]
     fn finds_by_key_alias_display_name_case_insensitively() {
-        assert_eq!(find("rw.hemlock").unwrap().meta.name, "HemlockRw");
-        assert_eq!(find("HEMLOCKRW").unwrap().key, "rw.hemlock");
-        assert_eq!(find("hemlock.rw").unwrap().key, "rw.hemlock");
-        assert_eq!(find("RW-MCS").unwrap().key, "rw.mcs");
-        assert!(
-            find("mcs").is_none(),
-            "exclusive keys stay out of this registry"
-        );
-        assert!(find("nope").is_none());
+        let rw = |name: &str| find(name).filter(|s| s.view == View::Rw);
+        assert_eq!(meta(rw("rw.hemlock").unwrap().entry).name, "HemlockRw");
+        assert_eq!(rw("HEMLOCKRW").unwrap().key(), "rw.hemlock");
+        assert_eq!(rw("hemlock.rw").unwrap().key(), "rw.hemlock");
+        assert_eq!(rw("RW-MCS").unwrap().key(), "rw.mcs");
+        assert!(rw("mcs").is_none(), "exclusive keys stay out of this view");
+        assert!(rw("nope").is_none());
     }
 
     #[test]
     fn every_entry_builds_a_working_dyn_rw_lock() {
         for entry in ENTRIES {
-            let lock = (entry.make)();
-            assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
+            let lock = make(entry);
+            assert_eq!(lock.meta(), meta(entry), "{}", entry.key);
             lock.write_lock();
             // Safety: acquired on this thread just above.
             unsafe { lock.write_unlock() };
@@ -451,18 +217,21 @@ mod tests {
 
     #[test]
     fn resolve_list_preserves_order_and_reports_errors() {
-        let picked = resolve_list("rw.mcs, rw.clh,rw.hemlock").unwrap();
+        let rw = &[View::Rw];
+        let picked = resolve_list("rw.mcs, rw.clh,rw.hemlock", rw).unwrap();
         assert_eq!(
-            picked.iter().map(|e| e.key).collect::<Vec<_>>(),
+            picked.iter().map(|s| s.key()).collect::<Vec<_>>(),
             ["rw.mcs", "rw.clh", "rw.hemlock"]
         );
-        assert!(resolve_list("rw.mcs,bogus")
+        assert!(resolve_list("rw.mcs,bogus", rw)
             .unwrap_err()
             .contains("known RW locks"));
-        assert!(resolve_list("rw.mcs,,rw.clh")
+        assert!(resolve_list("rw.mcs,,rw.clh", rw)
             .unwrap_err()
             .contains("empty lock name"));
-        assert!(resolve_list("rw.mcs,RW-MCS").unwrap_err().contains("twice"));
+        assert!(resolve_list("rw.mcs,RW-MCS", rw)
+            .unwrap_err()
+            .contains("twice"));
     }
 
     #[test]
@@ -477,13 +246,13 @@ mod tests {
     #[test]
     fn static_dispatch_reaches_both_catalogs() {
         struct NameAndSize;
-        impl RwLockVisitor for NameAndSize {
+        impl LockVisitor for NameAndSize {
             type Output = (&'static str, usize, bool);
             fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Self::Output {
                 (meta.name, core::mem::size_of::<L>(), meta.rw)
             }
         }
-        let (name, size, rw) = with_any_lock_type("rw.mcs", NameAndSize).unwrap();
+        let (name, size, rw) = dispatch("rw.mcs", NameAndSize).unwrap();
         assert_eq!(name, "RW-MCS");
         assert_eq!(
             size,
@@ -491,23 +260,23 @@ mod tests {
         );
         assert!(rw);
         // Exclusive fall-through: same visitor, degraded read path.
-        let (name, _, rw) = with_any_lock_type("mcs", NameAndSize).unwrap();
+        let (name, _, rw) = dispatch("mcs", NameAndSize).unwrap();
         assert_eq!(name, "MCS");
         assert!(!rw);
-        assert!(with_any_lock_type("bogus", NameAndSize).is_none());
+        assert!(dispatch("bogus", NameAndSize).is_none());
     }
 
     #[test]
-    fn keys_are_unique_prefixed_and_listed_in_all_keys() {
-        let keys = keys();
-        assert_eq!(keys.len(), ENTRIES.len());
-        assert!(keys.iter().all(|k| k.starts_with("rw.")));
-        let mut dedup = keys.clone();
+    fn keys_are_unique_prefixed_and_listed_with_the_exclusive_keys() {
+        let keys_rw = keys(&[View::Rw]);
+        assert_eq!(keys_rw.len(), ENTRIES.len());
+        assert!(keys_rw.iter().all(|k| k.starts_with("rw.")));
+        let mut dedup = keys_rw.clone();
         dedup.sort_unstable();
         dedup.dedup();
-        assert_eq!(dedup.len(), keys.len());
-        let all = all_keys();
-        assert!(all.len() == keys.len() + hemlock_locks::catalog::keys().len());
+        assert_eq!(dedup.len(), keys_rw.len());
+        let all = keys(&[View::Exclusive, View::Rw]);
+        assert!(all.len() == keys_rw.len() + keys(&[View::Exclusive]).len());
         assert!(all.contains(&"hemlock") && all.contains(&"rw.hemlock"));
     }
 
@@ -515,11 +284,11 @@ mod tests {
     fn display_names_do_not_collide_with_exclusive_ones() {
         for rw in ENTRIES {
             assert!(
-                hemlock_locks::catalog::ENTRIES
+                ENTRIES
                     .iter()
-                    .all(|e| !e.meta.name.eq_ignore_ascii_case(rw.meta.name)),
+                    .all(|e| !e.meta.name.eq_ignore_ascii_case(meta(rw).name)),
                 "{} shadows an exclusive display name",
-                rw.meta.name
+                meta(rw).name
             );
         }
     }

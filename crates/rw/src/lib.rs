@@ -21,13 +21,12 @@
 //!   their whole critical section, draining the readers first. With a FIFO
 //!   gate the admission is *phase-fair-ish*: readers that arrive while a
 //!   writer waits queue behind it, then enter together as a batch.
-//! - [`catalog`] — the `rw.*` registry: every key in the exclusive catalog
-//!   (`hemlock_locks::catalog`) gains an RW counterpart (`"rw.mcs"`,
-//!   `"rw.clh"`, …) via [`RwFromRaw`], and `"rw.hemlock"` resolves to the
+//! - [`catalog`] — the RW view of the one lock catalog
+//!   (`hemlock_locks::catalog`): every row gains an RW face (`"rw.mcs"`,
+//!   `"rw.clh"`, …) via [`RwFromRaw`], and `"rw.hemlock"` maps to the
 //!   native [`HemlockRw`]. Both dynamic
 //!   ([`catalog::dyn_rw_mutex`] → [`DynRwMutex`]) and static
-//!   ([`catalog::with_rw_lock_type`]) dispatch are offered, mirroring the
-//!   exclusive catalog's two styles.
+//!   ([`catalog::with_rw_lock_type`]) dispatch are offered.
 //!
 //! Both locks implement [`RawRwLock`](hemlock_core::RawRwLock), so the
 //! write path doubles as a plain [`RawLock`](hemlock_core::RawLock) —

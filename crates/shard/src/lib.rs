@@ -142,7 +142,8 @@ mod proptests {
 mod combining_proptests {
     use crate::batch::{TableOp, TableResult};
     use crate::ShardedTable;
-    use hemlock_async::catalog::{AsyncCatalogEntry, AsyncLockVisitor};
+    use hemlock_async::catalog::{TryLockVisitor, View};
+    use hemlock_core::meta::LockMeta;
     use hemlock_core::raw::RawTryLock;
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -179,9 +180,9 @@ mod combining_proptests {
         cancel: Vec<BOp>,
     }
 
-    impl AsyncLockVisitor for &Case {
+    impl TryLockVisitor for &Case {
         type Output = ();
-        fn visit<L: RawTryLock + 'static>(self, _e: &'static AsyncCatalogEntry) -> Self::Output {
+        fn visit<L: RawTryLock + 'static>(self, _meta: LockMeta) -> Self::Output {
             run_case::<L>(self);
         }
     }
@@ -321,8 +322,8 @@ mod combining_proptests {
             cancel in proptest::collection::vec(bop(), 1..12),
         ) {
             let case = Case { shards, batch, point, cancel };
-            for entry in hemlock_async::catalog::ENTRIES {
-                hemlock_async::catalog::with_async_lock_type(entry.key, &case)
+            for sel in hemlock_async::catalog::view(View::Async) {
+                hemlock_async::catalog::with_try_lock_type(sel.entry, &case)
                     .expect("catalog key dispatches");
             }
         }

@@ -9,11 +9,12 @@
 //!   dynamic layer (`DynLock` / `DynMutex`, `DynRwLock` / `DynRwMutex`) of
 //!   the three-layer lock API.
 //! - [`hemlock_locks`] — MCS / CLH / Ticket / TAS / TTAS / Anderson
-//!   baselines, and the unified catalog (`hemlock_locks::catalog`) mapping
-//!   string keys to every algorithm for runtime selection (`--lock`).
+//!   baselines, and the one lock catalog (`hemlock_locks::catalog`): one
+//!   row per algorithm, selected by string key at runtime (`--lock`), with
+//!   `rw.*` and `async.*` views derived from each row's `LockMeta`.
 //! - [`hemlock_rw`] — the reader-writer subsystem: native `HemlockRw`
 //!   (striped read-indicator over the grant protocol), the `RwFromRaw`
-//!   adapter, and the `rw.*` catalog.
+//!   adapter, and the `rw.*` view's type mapping.
 //! - [`hemlock_shard`] — the sharded lock-table subsystem
 //!   (`ShardedTable`, `ShardedCounter`).
 //! - [`hemlock_simlock`] — lock algorithms as deterministic state machines.

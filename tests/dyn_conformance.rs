@@ -32,9 +32,8 @@
 use hemlock_core::dynlock::TryLockError;
 use hemlock_core::raw::RawLock;
 use hemlock_core::{DynMutex, DynRwMutex};
-use hemlock_locks::catalog::{self, CatalogEntry};
+use hemlock_locks::catalog::{self, CatalogEntry, View};
 use hemlock_rw::catalog as rw_catalog;
-use hemlock_rw::catalog::RwCatalogEntry;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn dyn_mutex_for(entry: &CatalogEntry) -> DynMutex<u64> {
@@ -239,26 +238,177 @@ fn dyn_handles_report_the_entry_meta() {
     }
 }
 
+// ------------------------------------------------------ spelling golden
+
+/// Every selector spelling accepted when the `rw.*` and `async.*` views
+/// were catalogs of their own, as `view key: spellings…` (display names
+/// equal to the key up to case are implied), each followed by that
+/// selection's `LockMeta` as recorded from those catalogs.
+const SPELLINGS: &str = r#"
+exclusive hemlock: hemlock hemlock.ctr
+  LockMeta { name: "Hemlock", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 2" }
+exclusive hemlock.naive: hemlock.naive hemlock-
+  LockMeta { name: "Hemlock-", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 1" }
+exclusive hemlock.overlap: hemlock.overlap Hemlock+Overlap
+  LockMeta { name: "Hemlock+Overlap", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 3 (App. A)" }
+exclusive hemlock.ah: hemlock.ah Hemlock+AH
+  LockMeta { name: "Hemlock+AH", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 4 (App. B)" }
+exclusive hemlock.v1: hemlock.v1 hemlock.hov1 Hemlock+HOV1
+  LockMeta { name: "Hemlock+HOV1", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 5 (App. B)" }
+exclusive hemlock.v2: hemlock.v2 hemlock.hov2 Hemlock+HOV2
+  LockMeta { name: "Hemlock+HOV2", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 6 (App. B)" }
+exclusive hemlock.parking: hemlock.parking hemlock.cv Hemlock+CV
+  LockMeta { name: "Hemlock+CV", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: true, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§6" }
+exclusive hemlock.chain: hemlock.chain Hemlock+Chain
+  LockMeta { name: "Hemlock+Chain", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: true, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "App. C" }
+exclusive hemlock.instr: hemlock.instr hemlock.instrumented Hemlock(instr)
+  LockMeta { name: "Hemlock(instr)", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§5.4" }
+exclusive obs.hemlock: obs.hemlock hemlock.obs Hemlock(obs)
+  LockMeta { name: "Hemlock(obs)", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 2" }
+exclusive mcs: mcs
+  LockMeta { name: "MCS", lock_words: 2, thread_words: 0, held_elements: 1, wait_elements: 1, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§2, Table 1" }
+exclusive clh: clh
+  LockMeta { name: "CLH", lock_words: 2, thread_words: 0, held_elements: 0, wait_elements: 1, fifo: true, try_lock: false, parking: false, abortable: false, asyncable: false, rw: false, nontrivial_init: true, paper_ref: "§4, Table 1" }
+exclusive ticket: ticket
+  LockMeta { name: "Ticket", lock_words: 2, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§4, Table 1" }
+exclusive tas: tas
+  LockMeta { name: "TAS", lock_words: 1, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: false, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§4 related work" }
+exclusive ttas: ttas
+  LockMeta { name: "TTAS", lock_words: 1, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: false, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§4 related work" }
+exclusive anderson: anderson
+  LockMeta { name: "Anderson", lock_words: 1040, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: true, try_lock: false, parking: false, abortable: false, asyncable: false, rw: false, nontrivial_init: false, paper_ref: "§4 related work" }
+rw rw.hemlock: rw.hemlock hemlockrw hemlock.rw
+  LockMeta { name: "HemlockRw", lock_words: 144, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: false, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "extension: RW over Listing 2" }
+rw rw.hemlock.naive: rw.hemlock.naive RW-Hemlock-
+  LockMeta { name: "RW-Hemlock-", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "Listing 1" }
+rw rw.hemlock.overlap: rw.hemlock.overlap RW-Hemlock+Overlap
+  LockMeta { name: "RW-Hemlock+Overlap", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "Listing 3 (App. A)" }
+rw rw.hemlock.ah: rw.hemlock.ah RW-Hemlock+AH
+  LockMeta { name: "RW-Hemlock+AH", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "Listing 4 (App. B)" }
+rw rw.hemlock.v1: rw.hemlock.v1 RW-Hemlock+HOV1
+  LockMeta { name: "RW-Hemlock+HOV1", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "Listing 5 (App. B)" }
+rw rw.hemlock.v2: rw.hemlock.v2 RW-Hemlock+HOV2
+  LockMeta { name: "RW-Hemlock+HOV2", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "Listing 6 (App. B)" }
+rw rw.hemlock.parking: rw.hemlock.parking RW-Hemlock+CV
+  LockMeta { name: "RW-Hemlock+CV", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: true, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "§6" }
+rw rw.hemlock.chain: rw.hemlock.chain RW-Hemlock+Chain
+  LockMeta { name: "RW-Hemlock+Chain", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: true, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "App. C" }
+rw rw.hemlock.instr: rw.hemlock.instr RW-Hemlock(instr)
+  LockMeta { name: "RW-Hemlock(instr)", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "§5.4" }
+rw rw.obs.hemlock: rw.obs.hemlock rw.hemlock.obs RW-Hemlock(obs)
+  LockMeta { name: "RW-Hemlock(obs)", lock_words: 2, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "Listing 2" }
+rw rw.mcs: rw.mcs RW-MCS
+  LockMeta { name: "RW-MCS", lock_words: 3, thread_words: 0, held_elements: 1, wait_elements: 1, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "§2, Table 1" }
+rw rw.clh: rw.clh RW-CLH
+  LockMeta { name: "RW-CLH", lock_words: 3, thread_words: 0, held_elements: 0, wait_elements: 1, fifo: true, try_lock: false, parking: false, abortable: false, asyncable: false, rw: true, nontrivial_init: true, paper_ref: "§4, Table 1" }
+rw rw.ticket: rw.ticket RW-Ticket
+  LockMeta { name: "RW-Ticket", lock_words: 3, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "§4, Table 1" }
+rw rw.tas: rw.tas RW-TAS
+  LockMeta { name: "RW-TAS", lock_words: 2, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: false, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "§4 related work" }
+rw rw.ttas: rw.ttas RW-TTAS
+  LockMeta { name: "RW-TTAS", lock_words: 2, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: false, try_lock: true, parking: false, abortable: true, asyncable: true, rw: true, nontrivial_init: false, paper_ref: "§4 related work" }
+rw rw.anderson: rw.anderson RW-Anderson
+  LockMeta { name: "RW-Anderson", lock_words: 1056, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: true, try_lock: false, parking: false, abortable: false, asyncable: false, rw: true, nontrivial_init: false, paper_ref: "§4 related work" }
+async async.hemlock: async.hemlock async.hemlock.ctr
+  LockMeta { name: "Hemlock", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 2" }
+async async.hemlock.naive: async.hemlock.naive
+  LockMeta { name: "Hemlock-", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 1" }
+async async.hemlock.overlap: async.hemlock.overlap
+  LockMeta { name: "Hemlock+Overlap", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 3 (App. A)" }
+async async.hemlock.ah: async.hemlock.ah
+  LockMeta { name: "Hemlock+AH", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 4 (App. B)" }
+async async.hemlock.v1: async.hemlock.v1
+  LockMeta { name: "Hemlock+HOV1", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 5 (App. B)" }
+async async.hemlock.v2: async.hemlock.v2
+  LockMeta { name: "Hemlock+HOV2", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 6 (App. B)" }
+async async.hemlock.parking: async.hemlock.parking
+  LockMeta { name: "Hemlock+CV", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: true, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§6" }
+async async.hemlock.chain: async.hemlock.chain
+  LockMeta { name: "Hemlock+Chain", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: true, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "App. C" }
+async async.hemlock.instr: async.hemlock.instr
+  LockMeta { name: "Hemlock(instr)", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§5.4" }
+async async.obs.hemlock: async.obs.hemlock async.hemlock.obs
+  LockMeta { name: "Hemlock(obs)", lock_words: 1, thread_words: 1, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "Listing 2" }
+async async.mcs: async.mcs
+  LockMeta { name: "MCS", lock_words: 2, thread_words: 0, held_elements: 1, wait_elements: 1, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§2, Table 1" }
+async async.ticket: async.ticket
+  LockMeta { name: "Ticket", lock_words: 2, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: true, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§4, Table 1" }
+async async.tas: async.tas
+  LockMeta { name: "TAS", lock_words: 1, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: false, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§4 related work" }
+async async.ttas: async.ttas
+  LockMeta { name: "TTAS", lock_words: 1, thread_words: 0, held_elements: 0, wait_elements: 0, fifo: false, try_lock: true, parking: false, abortable: true, asyncable: true, rw: false, nontrivial_init: false, paper_ref: "§4 related work" }
+"#;
+
+#[test]
+fn every_recorded_spelling_resolves_to_the_same_view_key_and_meta() {
+    let mut lines = SPELLINGS.trim().lines();
+    let mut keys = Vec::new();
+    while let (Some(head), Some(meta)) = (lines.next(), lines.next()) {
+        let (view_key, spellings) = head.split_once(": ").unwrap();
+        let (view, key) = view_key.split_once(' ').unwrap();
+        let view = match view {
+            "exclusive" => View::Exclusive,
+            "rw" => View::Rw,
+            "async" => View::Async,
+            other => panic!("unknown view {other}"),
+        };
+        let mut spellings: Vec<String> = spellings.split(' ').map(String::from).collect();
+        spellings.extend(spellings.clone().iter().map(|s| s.to_ascii_uppercase()));
+        if view != View::Async {
+            spellings.push(meta_name(meta).to_string());
+        }
+        for spelling in &spellings {
+            let sel = catalog::find(spelling)
+                .unwrap_or_else(|| panic!("{spelling:?} no longer resolves"));
+            let got = match sel.view {
+                View::Rw => rw_catalog::meta(sel.entry),
+                _ => sel.entry.meta,
+            };
+            assert_eq!(
+                (sel.view, sel.key(), format!("{got:?}")),
+                (view, key, meta.trim().to_string()),
+                "{spelling:?}"
+            );
+        }
+        keys.push(key);
+    }
+    // The views hold exactly the recorded keys, in order: 16 / 16 / 14.
+    assert_eq!(keys, catalog::keys(&View::ALL));
+    assert_eq!(View::ALL.map(|v| catalog::keys(&[v]).len()), [16, 16, 14]);
+}
+
+/// The display name out of a `LockMeta` `{:?}` line, which selects the
+/// exclusive and RW views (the async view's display name is the lock's).
+fn meta_name(meta: &str) -> &str {
+    meta.split('"').nth(1).unwrap()
+}
+
 // ---------------------------------------------------------------- RW pass
 
-fn dyn_rw_mutex_for(entry: &RwCatalogEntry) -> DynRwMutex<u64> {
-    DynRwMutex::new((entry.make)(), 0)
+/// The rows the RW view covers (every one).
+fn rw_entries() -> impl Iterator<Item = &'static CatalogEntry> {
+    catalog::view(View::Rw).map(|s| s.entry)
+}
+
+fn dyn_rw_mutex_for(entry: &CatalogEntry) -> DynRwMutex<u64> {
+    DynRwMutex::new(rw_catalog::make(entry), 0)
 }
 
 #[test]
 fn rw_catalog_mirrors_the_exclusive_catalog() {
-    assert_eq!(rw_catalog::ENTRIES.len(), catalog::ENTRIES.len());
+    assert_eq!(rw_entries().count(), catalog::ENTRIES.len());
     for entry in catalog::ENTRIES {
         let rw_key = format!("rw.{}", entry.key);
-        let rw = rw_catalog::find(&rw_key)
+        let rw = catalog::resolve(&rw_key, &[View::Rw])
+            .ok()
             .unwrap_or_else(|| panic!("no RW counterpart for {}", entry.key));
-        assert!(rw.meta.rw, "{rw_key}");
+        assert!(rw_catalog::meta(rw.entry).rw, "{rw_key}");
     }
 }
 
 #[test]
 fn readers_coexist_through_dyn_rw_mutex() {
-    for entry in rw_catalog::ENTRIES {
+    for entry in rw_entries() {
         let m = dyn_rw_mutex_for(entry);
         *m.write() = 9;
         let held = m.read();
@@ -278,7 +428,7 @@ fn readers_coexist_through_dyn_rw_mutex() {
 
 #[test]
 fn writer_excludes_all_through_dyn_rw_mutex() {
-    for entry in rw_catalog::ENTRIES {
+    for entry in rw_entries() {
         let m = dyn_rw_mutex_for(entry);
         let writer_in = AtomicBool::new(false);
         let started = AtomicUsize::new(0);
@@ -319,7 +469,7 @@ fn writer_excludes_all_through_dyn_rw_mutex() {
 
 #[test]
 fn no_lost_updates_under_mixed_rw_traffic() {
-    for entry in rw_catalog::ENTRIES {
+    for entry in rw_entries() {
         let m = dyn_rw_mutex_for(entry);
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -348,7 +498,7 @@ fn no_lost_updates_under_mixed_rw_traffic() {
 
 #[test]
 fn rw_read_guard_and_write_guard_release_on_panic() {
-    for entry in rw_catalog::ENTRIES {
+    for entry in rw_entries() {
         let m = dyn_rw_mutex_for(entry);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut g = m.write();
@@ -371,9 +521,9 @@ fn rw_read_guard_and_write_guard_release_on_panic() {
 #[test]
 fn rw_timed_semantics_match_the_advertised_capability() {
     use std::time::Duration;
-    for entry in rw_catalog::ENTRIES {
+    for entry in rw_entries() {
         let m = dyn_rw_mutex_for(entry);
-        if entry.meta.abortable {
+        if rw_catalog::meta(entry).abortable {
             // Free: both timed modes acquire.
             *m.try_write_for(Duration::from_millis(10))
                 .unwrap_or_else(|e| panic!("{}: free timed write failed: {e}", entry.key)) = 3;
@@ -435,36 +585,40 @@ fn rw_timed_semantics_match_the_advertised_capability() {
 
 #[test]
 fn dyn_rw_handles_report_the_entry_meta() {
-    for entry in rw_catalog::ENTRIES {
-        let lock = (entry.make)();
-        assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
+    for entry in rw_entries() {
+        let lock = rw_catalog::make(entry);
+        assert_eq!(lock.meta(), rw_catalog::meta(entry), "{}", entry.key);
         let m = dyn_rw_mutex_for(entry);
-        assert_eq!(m.meta(), entry.meta, "{}", entry.key);
+        assert_eq!(m.meta(), rw_catalog::meta(entry), "{}", entry.key);
         assert!(m.meta().rw, "{}", entry.key);
     }
 }
 
 macro_rules! rw_static_meta_checks {
-    ($(($key:literal, $display:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
+    ($(($row:literal, [$($row_alias:literal),*], $gate:ty, $cap:ident, ($display:literal, [$($alias:literal),*], $rw:ident))),+ $(,)?) => {
+        rw_static_meta_checks!(@checks $((concat!("rw.", $row), $display, [$($alias,)* $(concat!("rw.", $row_alias)),*], hemlock_rw::rw_type!($rw, $gate))),+);
+    };
+    (@checks $(($key:expr, $display:literal, [$($alias:expr),*], $ty:ty)),+) => {
         /// The RW catalog's meta is the static type's `META` with the
         /// display name patched, and the declared body size is measured.
         #[test]
         fn rw_catalog_meta_matches_static_counterparts() {
             $(
-                let entry = rw_catalog::find($key)
-                    .unwrap_or_else(|| panic!("rw catalog lost key {}", $key));
+                let entry = catalog::resolve($key, &[View::Rw])
+                    .unwrap_or_else(|_| panic!("rw catalog lost key {}", $key))
+                    .entry;
                 let mut expected = <$ty as RawLock>::META;
                 expected.name = $display;
-                assert_eq!(entry.meta, expected, "{}", $key);
+                assert_eq!(rw_catalog::meta(entry), expected, "{}", $key);
                 assert_eq!(
-                    entry.meta.lock_words,
+                    rw_catalog::meta(entry).lock_words,
                     core::mem::size_of::<$ty>().div_ceil(core::mem::size_of::<usize>()),
                     "{}: LockMeta.lock_words disagrees with size_of",
                     $key
                 );
                 $(
                     assert_eq!(
-                        rw_catalog::find($alias).map(|e| e.key),
+                        catalog::resolve($alias, &[View::Rw]).ok().map(|e| e.key()),
                         Some($key),
                         "alias {} must resolve to {}", $alias, $key
                     );
@@ -473,7 +627,7 @@ macro_rules! rw_static_meta_checks {
         }
     };
 }
-hemlock_rw::for_each_rw_lock!(rw_static_meta_checks);
+hemlock_locks::for_each_lock!(rw_static_meta_checks);
 
 // ------------------------------------------------------- abort proptests
 
@@ -591,7 +745,6 @@ mod async_pass {
 
     use super::*;
     use hemlock_async::catalog as async_catalog;
-    use hemlock_async::catalog::AsyncCatalogEntry;
     use hemlock_async::DynAsyncMutex;
     use hemlock_harness::executor::{block_on, TaskPool};
     use proptest::prelude::*;
@@ -601,23 +754,29 @@ mod async_pass {
     use std::sync::Arc;
     use std::task::{Context, Poll};
 
-    fn dyn_async_mutex_for(entry: &AsyncCatalogEntry) -> DynAsyncMutex<u64> {
-        DynAsyncMutex::new((entry.make)(), 0)
+    /// The rows the async view covers (the asyncable ones).
+    fn async_entries() -> impl Iterator<Item = &'static CatalogEntry> {
+        catalog::view(View::Async).map(|s| s.entry)
+    }
+
+    fn dyn_async_mutex_for(entry: &CatalogEntry) -> DynAsyncMutex<u64> {
+        DynAsyncMutex::new(async_catalog::make(entry).unwrap(), 0)
     }
 
     #[test]
     fn async_catalog_mirrors_the_abortable_subset() {
         let abortable = catalog::abortable();
-        assert_eq!(async_catalog::ENTRIES.len(), abortable.len());
+        assert_eq!(async_entries().count(), abortable.len());
         for entry in &abortable {
             let key = format!("async.{}", entry.key);
-            let a = async_catalog::find(&key)
+            let a = async_catalog::resolve(&key, &[View::Async])
+                .ok()
                 .unwrap_or_else(|| panic!("no async counterpart for {}", entry.key));
-            assert_eq!(a.meta, entry.meta, "{key}");
-            assert!(a.meta.asyncable, "{key}");
+            assert_eq!(a.entry.meta, entry.meta, "{key}");
+            assert!(a.entry.meta.asyncable, "{key}");
         }
-        assert!(async_catalog::find("async.clh").is_none());
-        assert!(async_catalog::find("async.anderson").is_none());
+        assert!(async_catalog::resolve("async.clh", &[View::Async]).is_err());
+        assert!(async_catalog::resolve("async.anderson", &[View::Async]).is_err());
     }
 
     #[test]
@@ -627,7 +786,7 @@ mod async_pass {
         for entry in catalog::ENTRIES {
             assert_eq!(entry.meta.asyncable, entry.meta.abortable, "{}", entry.key);
             assert_eq!(
-                async_catalog::find(&format!("async.{}", entry.key)).is_some(),
+                async_catalog::resolve(&format!("async.{}", entry.key), &[View::Async]).is_ok(),
                 entry.meta.asyncable,
                 "{}",
                 entry.key
@@ -637,7 +796,7 @@ mod async_pass {
 
     #[test]
     fn mutual_exclusion_through_dyn_async_mutex() {
-        for entry in async_catalog::ENTRIES {
+        for entry in async_entries() {
             let pool = TaskPool::new(3);
             let m = Arc::new(dyn_async_mutex_for(entry));
             let in_cs = Arc::new(AtomicBool::new(false));
@@ -669,8 +828,8 @@ mod async_pass {
 
     #[test]
     fn dyn_async_handles_report_the_entry_meta() {
-        for entry in async_catalog::ENTRIES {
-            let lock = (entry.make)();
+        for entry in async_entries() {
+            let lock = async_catalog::make(entry).unwrap();
             assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
             let m = dyn_async_mutex_for(entry);
             assert_eq!(m.meta(), entry.meta, "{}", entry.key);
@@ -679,7 +838,7 @@ mod async_pass {
 
     #[test]
     fn cancelled_parked_futures_never_acquire_and_release_flows_on() {
-        for entry in async_catalog::ENTRIES {
+        for entry in async_entries() {
             let m = dyn_async_mutex_for(entry);
             let held = m.try_lock().expect("free");
             // Park three futures, then cancel the middle one.
@@ -740,7 +899,7 @@ mod async_pass {
         }
     }
 
-    fn run_cancel_mix(entry: &'static AsyncCatalogEntry, ops: &[Vec<bool>]) {
+    fn run_cancel_mix(entry: &'static CatalogEntry, ops: &[Vec<bool>]) {
         let pool = TaskPool::new(3);
         let m = Arc::new(dyn_async_mutex_for(entry));
         let in_cs = Arc::new(AtomicBool::new(false));
@@ -803,7 +962,7 @@ mod async_pass {
             ops in proptest::collection::vec(
                 proptest::collection::vec(proptest::any::<bool>(), 0..24), 1..5)
         ) {
-            for entry in async_catalog::ENTRIES {
+            for entry in async_entries() {
                 run_cancel_mix(entry, &ops);
             }
         }
@@ -811,14 +970,15 @@ mod async_pass {
 }
 
 macro_rules! static_meta_checks {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
+    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident, $rw:tt)),+ $(,)?) => {
         /// The catalog's meta is byte-for-byte the static type's `META`,
         /// and the declared body size is the measured body size.
         #[test]
         fn catalog_meta_matches_static_counterparts() {
             $(
                 let entry = catalog::find($key)
-                    .unwrap_or_else(|| panic!("catalog lost key {}", $key));
+                    .unwrap_or_else(|| panic!("catalog lost key {}", $key))
+                    .entry;
                 assert_eq!(entry.meta, <$ty as RawLock>::META, "{}", $key);
                 // Declared body words = measured size, rounded up to whole
                 // words (TAS/TTAS bodies are a single byte).
@@ -830,7 +990,7 @@ macro_rules! static_meta_checks {
                 );
                 $(
                     assert_eq!(
-                        catalog::find($alias).map(|e| e.key),
+                        catalog::find($alias).map(|e| e.key()),
                         Some($key),
                         "alias {} must resolve to {}", $alias, $key
                     );

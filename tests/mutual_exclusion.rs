@@ -161,9 +161,10 @@ mod rw_conformance {
     }
 
     macro_rules! rw_conformance_tests {
-        ($(($key:literal, $display:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-            $(rw_conformance_tests!(@one $key, $ty);)+
-
+        ($(($key:literal, [$($alias:literal),*], $gate:ty, $cap:ident, ($display:literal, [$($rw_alias:literal),*], $rw:ident))),+ $(,)?) => {
+            rw_conformance_tests!(@each $((concat!("rw.", $key), hemlock_rw::rw_type!($rw, $gate))),+);
+        };
+        (@each $(($key:expr, $ty:ty)),+) => {
             #[test]
             fn write_path_counter_torture_and_overlap() {
                 $(
@@ -182,9 +183,8 @@ mod rw_conformance {
                 $(writer_excludes_readers::<$ty>($key);)+
             }
         };
-        (@one $key:literal, $ty:ty) => {};
     }
-    hemlock_rw::for_each_rw_lock!(rw_conformance_tests);
+    hemlock_locks::for_each_lock!(rw_conformance_tests);
 
     /// One schedule step: `Some(delta)` = write `+= delta`, `None` = a
     /// read-read consistency probe (the shim has no `option::of`, so the

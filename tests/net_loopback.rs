@@ -9,7 +9,8 @@
 //! unflushed. The test returning at all proves no task leaked —
 //! `shutdown` joins the acceptor thread and every per-connection task.
 
-use hemlock_async::catalog::{self, AsyncCatalogEntry, AsyncLockVisitor};
+use hemlock_async::catalog::{self, TryLockVisitor, View};
+use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::TaskPool;
 use hemlock_harness::reactor::Reactor;
@@ -33,9 +34,9 @@ struct Spawn<'a> {
     opts: ServerOptions,
 }
 
-impl AsyncLockVisitor for Spawn<'_> {
+impl TryLockVisitor for Spawn<'_> {
     type Output = ServerHandle;
-    fn visit<L: RawTryLock + 'static>(self, _entry: &'static AsyncCatalogEntry) -> ServerHandle {
+    fn visit<L: RawTryLock + 'static>(self, _meta: LockMeta) -> ServerHandle {
         let kv: Arc<dyn AsyncKv> = Arc::new(Db::<L>::new(tiny_opts())).into_async_kv();
         spawn_server_with(self.pool, kv, "127.0.0.1:0".parse().unwrap(), self.opts)
             .expect("bind loopback")
@@ -109,8 +110,9 @@ fn round_trips_and_graceful_shutdown_under_every_async_lock() {
     let pool = Arc::new(TaskPool::new(2));
     for combine in [true, false] {
         let opts = ServerOptions { combine };
-        for key in catalog::keys() {
-            let server = catalog::with_async_lock_type(key, Spawn { pool: &pool, opts })
+        for sel in catalog::view(View::Async) {
+            let key = sel.key();
+            let server = catalog::with_try_lock_type(sel.entry, Spawn { pool: &pool, opts })
                 .expect("catalog key dispatches");
             let responses = drive(server.local_addr(), key);
             let stats = server.shutdown();
@@ -137,8 +139,10 @@ fn sixty_four_pipelined_connections_survive_shutdown_accounting() {
     const PIPELINE: usize = 8;
 
     let server_pool = Arc::new(TaskPool::new(4));
-    let server = catalog::with_async_lock_type(
-        "async.hemlock",
+    let server = catalog::with_try_lock_type(
+        catalog::resolve("async.hemlock", &[View::Async])
+            .unwrap()
+            .entry,
         Spawn {
             pool: &server_pool,
             opts: ServerOptions::default(),
