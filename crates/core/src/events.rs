@@ -1,7 +1,7 @@
 //! Lock-event emission hook: how core locks report to an observer that
 //! lives *above* this crate.
 //!
-//! `hemlock-obs` (the metrics registry and flight recorder) depends on
+//! `hemlock-obs` (the metrics registry and the trace rings) depends on
 //! `hemlock-core`, so core cannot call it directly. Instead this module
 //! defines the narrow seam between them: a [`LockEvent`] taxonomy, an
 //! [`EventSink`] trait, and a process-wide install point. Instrumented
@@ -46,7 +46,7 @@ pub enum LockEvent {
 }
 
 impl LockEvent {
-    /// The inverse of `self as u8` (for decoding flight-recorder slots).
+    /// The inverse of `self as u8` (for decoding trace-ring slots).
     pub fn from_u8(b: u8) -> Option<Self> {
         Some(match b {
             0 => LockEvent::Acquire,
@@ -60,7 +60,8 @@ impl LockEvent {
         })
     }
 
-    /// Short stable name (used in flight-recorder dumps).
+    /// Short stable name (used in lock-event instant names and
+    /// flight-recorder dumps).
     pub fn name(self) -> &'static str {
         match self {
             LockEvent::Acquire => "acquire",

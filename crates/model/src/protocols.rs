@@ -2,7 +2,8 @@
 //!
 //! The seed crates' §3 theorems cover the lock algorithms; the layers this
 //! workspace grew on top of them (`WakerSet`, `WakerQueue`,
-//! `ShardedTable::with_two`, `HemlockRw`, the flat-combining batch layer)
+//! `ShardedTable::with_two`, `HemlockRw`, the flat-combining batch layer,
+//! the trace ring's seqlock)
 //! are hand-rolled protocols with their own safety arguments. Each is
 //! re-encoded in `hemlock-simlock::protocols` as a
 //! [`ProtocolSim`] state machine; this module explores those machines the
@@ -18,7 +19,8 @@
 //! names its scenario.
 
 use hemlock_simlock::protocols::{
-    DekkerSim, FcRole, FcSim, QueueRole, RwRole, RwSim, TwoShardOp, TwoShardSim, WakerQueueSim,
+    DekkerSim, FcRole, FcSim, QueueRole, RwRole, RwSim, TraceRingSim, TwoShardOp, TwoShardSim,
+    WakerQueueSim,
 };
 use hemlock_simlock::{ProtoViolation, ProtoWorld, ProtocolSim, SplitMix64};
 use std::collections::HashSet;
@@ -318,6 +320,9 @@ pub fn post_seed_scenarios() -> Vec<ProtoScenario> {
                 FcRole { cancel: true },
             ])
         }),
+        // Trace ring seqlock: one writer laps a 2-slot ring (three
+        // pushes) while one dumper makes two passes over it.
+        scenario("proto.trace-ring", || TraceRingSim::new(3, 2)),
     ]
 }
 
@@ -328,7 +333,7 @@ mod tests {
     #[test]
     fn registry_names_are_stable_and_unique() {
         let scenarios = post_seed_scenarios();
-        assert_eq!(scenarios.len(), 5);
+        assert_eq!(scenarios.len(), 6);
         let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
@@ -338,6 +343,7 @@ mod tests {
                 "proto.with-two",
                 "proto.rw",
                 "proto.flat-combining",
+                "proto.trace-ring",
             ]
         );
         for s in &scenarios {

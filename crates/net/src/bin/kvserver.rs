@@ -79,8 +79,8 @@ fn main() {
     .value(
         "trace",
         "sample 1 in N request bursts for causal tracing (default 0 = \
-         off); clients pull the spans as Chrome-trace JSON over the \
-         TRACE opcode, the flight recorder over RECORDER",
+         off); clients pull the spans, and the lock events of an \
+         observed lock, as Chrome-trace JSON over the TRACE opcode",
     )
     .value(
         "trace-seed",

@@ -28,10 +28,9 @@ pub enum Op<'a> {
     Ping,
     /// Metrics snapshot request.
     Stats,
-    /// Trace export request (sampled spans as Chrome-trace JSON).
+    /// Trace export request (sampled spans and lock events as
+    /// Chrome-trace JSON).
     Trace,
-    /// Flight-recorder dump request.
-    Recorder,
 }
 
 impl Op<'_> {
@@ -46,7 +45,7 @@ impl Op<'_> {
             Op::Get(key) => Some(KvOp::Get(key.to_vec())),
             Op::Put(key, value) => Some(KvOp::Put(key.to_vec(), value.to_vec())),
             Op::Delete(key) => Some(KvOp::Delete(key.to_vec())),
-            Op::Ping | Op::Stats | Op::Trace | Op::Recorder => None,
+            Op::Ping | Op::Stats | Op::Trace => None,
         }
     }
 
@@ -56,7 +55,6 @@ impl Op<'_> {
             None => match self {
                 Op::Stats => Request::Stats { id },
                 Op::Trace => Request::Trace { id },
-                Op::Recorder => Request::Recorder { id },
                 _ => Request::Ping { id },
             },
         }
@@ -203,23 +201,13 @@ impl Client {
         }
     }
 
-    /// Fetches the server's sampled request spans (the `TRACE` opcode)
-    /// as a Chrome-trace-event JSON document; open it in Perfetto or
+    /// Fetches the server's sampled request spans and lock events (the
+    /// `TRACE` opcode) as a Chrome-trace-event JSON document; open it in Perfetto or
     /// `chrome://tracing`, or parse it back with
     /// `hemlock_obs::trace::parse_chrome_json`.
     pub fn trace_json(&mut self) -> io::Result<String> {
         match self.one(Op::Trace)? {
             Response::Trace { json, .. } => Ok(json),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Fetches the server's flight-recorder dump (the `RECORDER` opcode)
-    /// as rendered text, site names resolved — the debugger-free path to
-    /// the lock-event ring.
-    pub fn recorder_dump(&mut self) -> io::Result<String> {
-        match self.one(Op::Recorder)? {
-            Response::RecorderDump { text, .. } => Ok(text),
             other => Err(mismatch(&other)),
         }
     }

@@ -41,10 +41,9 @@ impl TryFrom<Request> for (u64, KvOp) {
             Request::Get { id, key } => Ok((id, KvOp::Get(key))),
             Request::Put { id, key, value } => Ok((id, KvOp::Put(key, value))),
             Request::Delete { id, key } => Ok((id, KvOp::Delete(key))),
-            other @ (Request::Ping { .. }
-            | Request::Stats { .. }
-            | Request::Trace { .. }
-            | Request::Recorder { .. }) => Err(other),
+            other @ (Request::Ping { .. } | Request::Stats { .. } | Request::Trace { .. }) => {
+                Err(other)
+            }
         }
     }
 }
@@ -98,7 +97,6 @@ mod tests {
             Request::Ping { id: 3 },
             Request::Stats { id: 4 },
             Request::Trace { id: 5 },
-            Request::Recorder { id: 6 },
         ] {
             assert_eq!(<(u64, KvOp)>::try_from(req.clone()), Err(req));
         }

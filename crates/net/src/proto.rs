@@ -26,7 +26,6 @@
 //! PING   = 0x04  (empty)
 //! STATS  = 0x05  (empty)
 //! TRACE  = 0x06  (empty)
-//! RECORDER = 0x07  (empty)
 //! ```
 //!
 //! Response bodies, after the echoed id:
@@ -39,9 +38,12 @@
 //! ERR       = 0x84  mlen:u32 message        (server-side failure)
 //! STATS     = 0x85  tlen:u32 text           (metrics snapshot, UTF-8
 //!                                            "key value" lines)
-//! TRACE     = 0x86  tlen:u32 json           (Chrome-trace JSON export)
-//! RECORDER  = 0x87  tlen:u32 text           (flight-recorder dump)
+//! TRACE     = 0x86  tlen:u32 json           (Chrome-trace JSON export:
+//!                                            sampled spans + lock events)
 //! ```
+//!
+//! `0x07`/`0x87` (a retired flight-recorder dump) and every other
+//! unlisted code are protocol errors.
 //!
 //! [`Decoder`] is incremental: [`Decoder::feed`] it whatever a socket
 //! read produced — half a header, three frames and a tail, anything —
@@ -104,13 +106,6 @@ pub enum Request {
         /// Client-chosen id, echoed in the response.
         id: u64,
     },
-    /// Flight-recorder dump request; the server answers
-    /// [`Response::RecorderDump`] with the recorder rendered as text —
-    /// the debugger-free path to the lock-event ring.
-    Recorder {
-        /// Client-chosen id, echoed in the response.
-        id: u64,
-    },
 }
 
 impl Request {
@@ -122,8 +117,7 @@ impl Request {
             | Request::Delete { id, .. }
             | Request::Ping { id }
             | Request::Stats { id }
-            | Request::Trace { id }
-            | Request::Recorder { id } => id,
+            | Request::Trace { id } => id,
         }
     }
 }
@@ -176,14 +170,6 @@ pub enum Response {
         /// Chrome-trace-event JSON document.
         json: String,
     },
-    /// Answer to [`Request::Recorder`]: the flight recorder rendered as
-    /// text, newest-last, with site names resolved.
-    RecorderDump {
-        /// Echo of the request id.
-        id: u64,
-        /// Rendered recorder dump.
-        text: String,
-    },
 }
 
 impl Response {
@@ -196,8 +182,7 @@ impl Response {
             | Response::Pong { id }
             | Response::Err { id, .. }
             | Response::Stats { id, .. }
-            | Response::Trace { id, .. }
-            | Response::RecorderDump { id, .. } => id,
+            | Response::Trace { id, .. } => id,
         }
     }
 }
@@ -210,7 +195,6 @@ mod op {
     pub const PING: u8 = 0x04;
     pub const STATS: u8 = 0x05;
     pub const TRACE: u8 = 0x06;
-    pub const RECORDER: u8 = 0x07;
 }
 
 /// Status bytes for responses.
@@ -222,7 +206,6 @@ mod status {
     pub const ERR: u8 = 0x84;
     pub const STATS: u8 = 0x85;
     pub const TRACE: u8 = 0x86;
-    pub const RECORDER: u8 = 0x87;
 }
 
 /// A protocol violation (encode- or decode-side).
@@ -271,10 +254,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) -> Result<(), FrameError
     let body_len = match req {
         Request::Get { key, .. } | Request::Delete { key, .. } => ID_SIZE + 1 + 4 + key.len(),
         Request::Put { key, value, .. } => ID_SIZE + 1 + 4 + key.len() + 4 + value.len(),
-        Request::Ping { .. }
-        | Request::Stats { .. }
-        | Request::Trace { .. }
-        | Request::Recorder { .. } => ID_SIZE + 1,
+        Request::Ping { .. } | Request::Stats { .. } | Request::Trace { .. } => ID_SIZE + 1,
     };
     check_frame(body_len)?;
     out.reserve(LEN_PREFIX + body_len);
@@ -297,7 +277,6 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) -> Result<(), FrameError
         Request::Ping { .. } => out.push(op::PING),
         Request::Stats { .. } => out.push(op::STATS),
         Request::Trace { .. } => out.push(op::TRACE),
-        Request::Recorder { .. } => out.push(op::RECORDER),
     }
     Ok(())
 }
@@ -307,11 +286,9 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) -> Result<(), FrameError
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) -> Result<(), FrameError> {
     let body_len = match resp {
         Response::Value { value, .. } => ID_SIZE + 1 + 4 + value.len(),
-        Response::Err { message, .. } => ID_SIZE + 1 + 4 + message.len(),
-        Response::Stats { text, .. } | Response::RecorderDump { text, .. } => {
-            ID_SIZE + 1 + 4 + text.len()
-        }
-        Response::Trace { json, .. } => ID_SIZE + 1 + 4 + json.len(),
+        Response::Err { message: blob, .. }
+        | Response::Stats { text: blob, .. }
+        | Response::Trace { json: blob, .. } => ID_SIZE + 1 + 4 + blob.len(),
         Response::NotFound { .. } | Response::Ok { .. } | Response::Pong { .. } => ID_SIZE + 1,
     };
     check_frame(body_len)?;
@@ -337,10 +314,6 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) -> Result<(), FrameEr
         Response::Trace { json, .. } => {
             out.push(status::TRACE);
             put_blob(out, json.as_bytes());
-        }
-        Response::RecorderDump { text, .. } => {
-            out.push(status::RECORDER);
-            put_blob(out, text.as_bytes());
         }
     }
     Ok(())
@@ -451,7 +424,6 @@ impl Decoder {
             op::PING => Request::Ping { id },
             op::STATS => Request::Stats { id },
             op::TRACE => Request::Trace { id },
-            op::RECORDER => Request::Recorder { id },
             other => return Err(FrameError::BadOpcode(other)),
         };
         cur.finish()?;
@@ -493,12 +465,6 @@ impl Decoder {
                 let json = String::from_utf8(raw)
                     .map_err(|_| FrameError::Malformed("trace json is not UTF-8"))?;
                 Response::Trace { id, json }
-            }
-            status::RECORDER => {
-                let raw = cur.blob()?;
-                let text = String::from_utf8(raw)
-                    .map_err(|_| FrameError::Malformed("recorder text is not UTF-8"))?;
-                Response::RecorderDump { id, text }
             }
             other => return Err(FrameError::BadStatus(other)),
         };
@@ -603,7 +569,6 @@ mod tests {
             Request::Ping { id: 0 },
             Request::Stats { id: 99 },
             Request::Trace { id: 100 },
-            Request::Recorder { id: 101 },
         ];
         for chunk in [1, 3, 7, 4096] {
             assert_eq!(roundtrip_requests(&reqs, chunk), reqs, "chunk={chunk}");
@@ -631,10 +596,6 @@ mod tests {
             Response::Trace {
                 id: 15,
                 json: "{\"traceEvents\":[\n]}\n".to_string(),
-            },
-            Response::RecorderDump {
-                id: 16,
-                text: "0001 shard.lock Acquire arg=3\n".to_string(),
             },
         ];
         let mut wire = Vec::new();
@@ -708,17 +669,20 @@ mod tests {
 
     #[test]
     fn garbage_opcode_and_status_error_cleanly() {
-        // Hand-build a frame with opcode 0x77.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&9u32.to_be_bytes());
-        wire.extend_from_slice(&1u64.to_be_bytes());
-        wire.push(0x77);
-        let mut dec = Decoder::new();
-        dec.feed(&wire);
-        assert_eq!(dec.next_request(), Err(FrameError::BadOpcode(0x77)));
-        let mut dec = Decoder::new();
-        dec.feed(&wire);
-        assert_eq!(dec.next_response(), Err(FrameError::BadStatus(0x77)));
+        // Hand-built frames with an unknown code, and with the retired
+        // flight-recorder request/response codes, which no longer decode.
+        for code in [0x77, 0x07, 0x87] {
+            let mut wire = Vec::new();
+            wire.extend_from_slice(&9u32.to_be_bytes());
+            wire.extend_from_slice(&1u64.to_be_bytes());
+            wire.push(code);
+            let mut dec = Decoder::new();
+            dec.feed(&wire);
+            assert_eq!(dec.next_request(), Err(FrameError::BadOpcode(code)));
+            let mut dec = Decoder::new();
+            dec.feed(&wire);
+            assert_eq!(dec.next_response(), Err(FrameError::BadStatus(code)));
+        }
     }
 
     #[test]

@@ -306,7 +306,6 @@ enum Pending {
     Ping(u64),
     Stats(u64),
     Trace(u64),
-    Recorder(u64),
     Op(u64),
 }
 
@@ -315,7 +314,8 @@ fn stats_text() -> String {
     hemlock_obs::registry().snapshot().render_text()
 }
 
-/// Every sampled span drained and rendered for the `TRACE` opcode.
+/// Every sampled span and lock event drained and rendered for the
+/// `TRACE` opcode.
 ///
 /// The response must fit one protocol frame ([`crate::proto::MAX_FRAME`]);
 /// a full set of rings can render to several MiB, so when the document
@@ -333,12 +333,6 @@ fn trace_json() -> String {
         let drop_n = events.len().div_ceil(2);
         events.drain(..drop_n);
     }
-}
-
-/// The flight recorder rendered for the `RECORDER` opcode — the
-/// debugger-free path to the lock-event ring (site names resolved).
-fn recorder_text() -> String {
-    hemlock_obs::recorder::recorder().dump_text()
 }
 
 /// Executes one decoded pipeline burst as a single batch: converts the
@@ -364,7 +358,6 @@ async fn dispatch_burst(
             }
             Err(Request::Stats { id }) => pending.push(Pending::Stats(id)),
             Err(Request::Trace { id }) => pending.push(Pending::Trace(id)),
-            Err(Request::Recorder { id }) => pending.push(Pending::Recorder(id)),
             Err(other) => pending.push(Pending::Ping(other.id())),
         }
     }
@@ -381,10 +374,6 @@ async fn dispatch_burst(
             Pending::Trace(id) => Response::Trace {
                 id,
                 json: trace_json(),
-            },
-            Pending::Recorder(id) => Response::RecorderDump {
-                id,
-                text: recorder_text(),
             },
             Pending::Op(id) => {
                 let res = results.next().expect("batch results are positional");
@@ -424,10 +413,6 @@ async fn dispatch(kv: &dyn AsyncKv, req: Request) -> Response {
         Request::Trace { id } => Response::Trace {
             id,
             json: trace_json(),
-        },
-        Request::Recorder { id } => Response::RecorderDump {
-            id,
-            text: recorder_text(),
         },
     }
 }

@@ -1,20 +1,21 @@
 //! The lock-event census: `hemlock-core`'s event stream, aggregated into
-//! the registry's `core.*` metrics and the flight recorder.
+//! the registry's `core.*` metrics and recorded in the trace rings.
 //!
 //! `hemlock-core` cannot depend on this crate, so its instrumented lock
 //! paths emit through the narrow `hemlock_core::events` seam. [`install`]
 //! plugs this module's sink into that seam; from then on every emitted
 //! event increments the matching `core.*` registry metric, lands in the
-//! process-wide flight recorder, and — for `TimeoutAbort` — stashes a
-//! recorder dump for [`crate::recorder::take_timeout_dump`].
+//! emitting thread's trace ring as a lock-event instant
+//! ([`trace::lock_event`]), and — for `TimeoutAbort` — stashes a
+//! flight-recorder dump for [`trace::take_timeout_dump`].
 //!
 //! [`report`] reads the census back in the shape of the paper's §5.4
 //! characterization (acquires, contended acquires, lock-while-holding,
 //! max locks held, max Grant-word waiters), replacing the counter
 //! plumbing `HemlockInstrumented` used to carry itself.
 
-use crate::recorder;
 use crate::registry::registry;
+use crate::trace;
 use hemlock_core::events::{self, EventSink, LockEvent};
 use std::fmt;
 
@@ -38,12 +39,12 @@ impl EventSink for RegistrySink {
             LockEvent::LockWhileHolding => r.core_lock_while_holding.inc(),
             LockEvent::GrantWaiters => r.core_grant_waiters.observe(arg as i64),
             LockEvent::Release => r.core_releases.inc(),
-            LockEvent::TimeoutAbort => {
-                r.core_timeout_aborts.inc();
-                recorder::store_timeout_dump();
-            }
+            LockEvent::TimeoutAbort => r.core_timeout_aborts.inc(),
         }
-        recorder::recorder().record(site, event, arg);
+        trace::lock_event(site, event, arg);
+        if event == LockEvent::TimeoutAbort {
+            trace::store_timeout_dump();
+        }
     }
 }
 

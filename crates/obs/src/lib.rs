@@ -1,8 +1,8 @@
 //! # hemlock-obs
 //!
 //! Zero-dependency observability for the Hemlock workspace: one metrics
-//! registry, one histogram type, one flight recorder — threaded through
-//! every layer from the core lock protocols to the networked KV server.
+//! registry, one histogram type, one event ring — threaded through every
+//! layer from the core lock protocols to the networked KV server.
 //!
 //! The paper's value proposition is *measured* behaviour (the §5.4
 //! censuses: contended acquires, grant waiters, multi-hold degree); this
@@ -19,16 +19,15 @@
 //! - [`hist`] — [`Hist`], the log-bucketed mergeable histogram promoted
 //!   from the bench harness (which now re-exports it), plus the
 //!   percentile-set extraction ([`Pcts`]) all bench bins share.
-//! - [`recorder`] — the lock-event flight recorder: a fixed-size
-//!   lock-free ring of recent `{tick, site, event}` records, dumpable on
-//!   demand or automatically on a `try_lock_for` timeout.
 //! - [`census`] — the sink that plugs into `hemlock_core::events` and
 //!   aggregates instrumented-lock events into `core.*` metrics.
 //! - [`observed`] — the generic [`Observed<L>`](observed::Observed) lock
 //!   wrapper (catalog key `obs.hemlock`).
-//! - [`mod@trace`] — sampled request-scoped causal tracing: span API,
-//!   per-thread checksummed rings, and a Chrome-trace / Perfetto JSON
-//!   exporter, with the same one-relaxed-load disabled cost contract.
+//! - [`mod@trace`] — the per-thread seqlock event rings: sampled
+//!   request-scoped spans, lock events as instants, a Chrome-trace /
+//!   Perfetto JSON exporter with the same one-relaxed-load disabled cost
+//!   contract, and the flight-recorder view ([`trace::lock_events`]),
+//!   dumped automatically on a `try_lock_for` timeout.
 //!
 //! ## Cost discipline
 //!
@@ -46,7 +45,8 @@ pub mod census;
 pub mod hist;
 pub mod metrics;
 pub mod observed;
-pub mod recorder;
+#[cfg(test)]
+mod recorder;
 pub mod registry;
 pub mod trace;
 

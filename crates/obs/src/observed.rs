@@ -1,6 +1,6 @@
 //! `Observed<L>` — a zero-size lock wrapper that reports acquisitions,
-//! contention, releases, and timed-out aborts to the registry and flight
-//! recorder.
+//! contention, releases, and timed-out aborts to the registry and, as
+//! lock-event instants, to the calling thread's trace ring.
 //!
 //! With observability disabled ([`crate::set_enabled`]`(false)`) every
 //! operation is the inner lock's operation behind **one relaxed load and
@@ -20,8 +20,8 @@
 //!
 //! The catalog registers [`ObservedHemlock`] under the key `obs.hemlock`.
 
-use crate::recorder::{recorder, store_timeout_dump};
 use crate::registry::registry;
+use crate::trace::{lock_event, store_timeout_dump};
 use hemlock_core::events::LockEvent;
 use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::{RawLock, RawTryLock};
@@ -70,7 +70,7 @@ impl<L: Default, T: ObsTag> Default for Observed<L, T> {
 }
 
 impl<L: RawTryLock, T: ObsTag> Observed<L, T> {
-    /// Registry + recorder bookkeeping for one successful acquisition.
+    /// Registry + trace-ring bookkeeping for one successful acquisition.
     #[cold]
     fn note_acquired(contended: bool) {
         let r = registry();
@@ -81,15 +81,15 @@ impl<L: RawTryLock, T: ObsTag> Observed<L, T> {
         });
         if held > 1 {
             r.core_lock_while_holding.inc();
-            recorder().record(T::NAME, LockEvent::LockWhileHolding, 0);
+            lock_event(T::NAME, LockEvent::LockWhileHolding, 0);
         }
         if contended {
             r.core_contended_acquires.inc();
-            recorder().record(T::NAME, LockEvent::ContendedAcquire, 0);
+            lock_event(T::NAME, LockEvent::ContendedAcquire, 0);
         }
         r.core_acquires.inc();
         r.core_locks_held.observe(held as i64);
-        recorder().record(T::NAME, LockEvent::Acquire, held as u64);
+        lock_event(T::NAME, LockEvent::Acquire, held as u64);
     }
 
     #[cold]
@@ -100,13 +100,13 @@ impl<L: RawTryLock, T: ObsTag> Observed<L, T> {
             v
         });
         registry().core_releases.inc();
-        recorder().record(T::NAME, LockEvent::Release, held as u64);
+        lock_event(T::NAME, LockEvent::Release, held as u64);
     }
 
     #[cold]
     fn note_timeout() {
         registry().core_timeout_aborts.inc();
-        recorder().record(T::NAME, LockEvent::TimeoutAbort, 0);
+        lock_event(T::NAME, LockEvent::TimeoutAbort, 0);
         store_timeout_dump();
     }
 }
@@ -227,6 +227,7 @@ mod tests {
 
     #[test]
     fn timeout_aborts_are_counted_and_dump() {
+        let _serial = crate::trace::tests::sampling_guard();
         let r = registry();
         let aborts0 = r.core_timeout_aborts.get();
         let l = ObservedHemlock::default();
@@ -239,8 +240,8 @@ mod tests {
         // we win one.
         let dump = (0..100)
             .find_map(|_| {
-                crate::recorder::take_timeout_dump().or_else(|| {
-                    crate::recorder::store_timeout_dump();
+                crate::trace::take_timeout_dump().or_else(|| {
+                    crate::trace::store_timeout_dump();
                     None
                 })
             })

@@ -1,11 +1,10 @@
-//! Request-scoped causal tracing: spans from wire to lock.
+//! Request-scoped causal tracing and the lock-event flight recorder.
 //!
 //! This module answers "where did this request's time go" — the question
 //! the counter/gauge/histogram registry cannot. It samples 1-in-N requests
 //! deterministically (seeded, so two runs against the same workload trace
 //! the same requests), threads a `trace id` through the request path, and
-//! records spans into per-thread ring buffers with the same checksummed
-//! wait-free discipline as the flight recorder. A Chrome-trace-event
+//! records spans into per-thread seqlock rings. A Chrome-trace-event
 //! exporter renders the rings into JSON that `chrome://tracing` and
 //! Perfetto open directly.
 //!
@@ -37,18 +36,29 @@
 //! async spans. This keeps the hot-path store-count constant and makes
 //! cancellation safe: dropping an [`AsyncSpan`] emits the record.
 //!
+//! # Lock events
+//!
+//! [`lock_event`] records a lock's `{site, event, arg}` as an instant in
+//! the same ring, on the same clock, whether or not sampling is on; it
+//! exports as `<site>:<event>` with the current trace id or 0, so lock
+//! activity lines up with request spans in Perfetto. The flight recorder
+//! is the view [`lock_events`] takes of the rings, and a text dump of it
+//! is stored on every `try_lock_for` timeout ([`take_timeout_dump`]).
+//!
 //! # Ring ownership
 //!
 //! Each thread lazily registers one [`TraceRing`] on first write; rings
-//! are never deregistered (thread names survive for the exporter). Writers
-//! are wait-free single-producer; the exporter is a racing reader that
-//! validates a per-slot xor checksum and drops torn records, exactly like
-//! the flight recorder.
+//! are never deregistered (thread names survive for the exporter). Only
+//! the owning thread writes a ring; the exporter is a racing reader that
+//! checks each slot's sequence word before and after copying it, so it
+//! returns exactly the records asked for and skips ones being overwritten.
+//! [`reset_rings`] raises a per-ring floor instead of writing the rings.
 
 use core::cell::Cell;
 use core::fmt::Write as _;
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use hemlock_core::events::LockEvent;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -227,110 +237,132 @@ impl SpanKind {
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread checksummed ring
+// Per-thread seqlock ring
 // ---------------------------------------------------------------------------
 
-/// Golden-ratio constant xor-ed into every slot checksum so an all-zero
-/// slot never validates.
-const CHECK_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Records per thread ring. Power of two; at 1-in-N sampling with ~6
+/// Records per thread ring: the flight recorder keeps each thread's
+/// newest `RING_CAP` records. Power of two; at 1-in-N sampling with ~6
 /// spans per request this holds thousands of sampled requests.
-const RING_CAP: usize = 8192;
+pub const RING_CAP: usize = 8192;
 
 struct Slot {
+    /// `2i + 1` while record `i` is being written, `2i + 2` once it is
+    /// complete; 0 for a slot never written.
+    seq: AtomicU64,
     t0: AtomicU64,
+    /// Duration in ns, or a lock event's arg.
     dur: AtomicU64,
     id: AtomicU64,
-    /// `site << 8 | kind`.
+    /// `site << 16 | lock << 8 | kind`, where `lock` is a lock event's
+    /// code + 1 (0 for spans).
     meta: AtomicU64,
-    /// xor of the four fields ^ [`CHECK_SEED`], stored last with Release.
-    check: AtomicU64,
 }
 
-/// A single thread's wait-free span ring.
+/// A single thread's wait-free record ring.
 ///
-/// One writer (the owning thread), any number of racing readers. Writers
-/// store the payload fields relaxed and publish with a Release checksum;
-/// readers Acquire the checksum, re-derive it from relaxed field loads,
-/// and drop the record on mismatch (torn by wraparound).
+/// Only the owning thread writes `head` and the slots; any thread may
+/// read. Each slot is a seqlock: record `i` is written as `seq = 2i+1`, a
+/// release fence, relaxed field stores, then `seq = 2i+2` with release.
+/// A reader accepts position `i` only if `seq` reads `2i+2` before it
+/// loads the fields and still reads `2i+2` after an acquire fence, so it
+/// accepts exactly the record written at `i`: never a splice of two
+/// writes, never a record from another lap of the ring.
 pub struct TraceRing {
     slots: Box<[Slot]>,
+    /// Records ever pushed; written by the owning thread only.
     head: AtomicU64,
+    /// Records below this index were discarded by [`reset_rings`]. Any
+    /// thread may raise it; nobody lowers it.
+    floor: AtomicU64,
 }
 
 impl TraceRing {
-    fn new() -> TraceRing {
-        let mut v = Vec::with_capacity(RING_CAP);
-        for _ in 0..RING_CAP {
-            v.push(Slot {
-                t0: AtomicU64::new(0),
-                dur: AtomicU64::new(0),
-                id: AtomicU64::new(0),
-                meta: AtomicU64::new(0),
-                check: AtomicU64::new(0),
-            });
-        }
+    pub(crate) fn with_capacity(cap: usize) -> TraceRing {
+        assert!(cap.is_power_of_two());
+        let slot = |_| Slot {
+            seq: AtomicU64::new(0),
+            t0: AtomicU64::new(0),
+            dur: AtomicU64::new(0),
+            id: AtomicU64::new(0),
+            meta: AtomicU64::new(0),
+        };
         TraceRing {
-            slots: v.into_boxed_slice(),
+            slots: (0..cap).map(slot).collect(),
             head: AtomicU64::new(0),
+            floor: AtomicU64::new(0),
         }
     }
 
-    /// Append one span record. Wait-free; overwrites the oldest slot on
-    /// wraparound.
-    pub fn push(&self, t0: u64, dur: u64, id: u64, site: usize, kind: SpanKind) {
-        let meta = ((site as u64) << 8) | kind.code();
-        let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h as usize) & (RING_CAP - 1)];
-        // Invalidate first so a racing reader can't validate a half-new
-        // record against the old checksum.
-        slot.check.store(0, Ordering::Release);
+    fn slot(&self, i: u64) -> &Slot {
+        &self.slots[i as usize & (self.slots.len() - 1)]
+    }
+
+    /// Append one record, overwriting the oldest on wraparound. Wait-free;
+    /// owning thread only. A lock event (`lock` set) keeps its arg in `dur`.
+    pub(crate) fn push(
+        &self,
+        t0: u64,
+        dur: u64,
+        id: u64,
+        site: &'static str,
+        kind: SpanKind,
+        lock: Option<LockEvent>,
+    ) {
+        let lock = lock.map_or(0, |e| e as u64 + 1);
+        let meta = ((intern(site) as u64) << 16) | (lock << 8) | kind.code();
+        let i = self.head.load(Ordering::Relaxed);
+        let slot = self.slot(i);
+        slot.seq.store(2 * i + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.t0.store(t0, Ordering::Relaxed);
         slot.dur.store(dur, Ordering::Relaxed);
         slot.id.store(id, Ordering::Relaxed);
         slot.meta.store(meta, Ordering::Relaxed);
-        slot.check
-            .store(t0 ^ dur ^ id ^ meta ^ CHECK_SEED, Ordering::Release);
-        self.head.store(h.wrapping_add(1), Ordering::Release);
+        slot.seq.store(2 * i + 2, Ordering::Release);
+        self.head.store(i + 1, Ordering::Release);
     }
 
-    /// Snapshot every valid record, oldest first. Torn slots are skipped.
+    /// Snapshot every record above the reset floor, oldest first. Records
+    /// being overwritten are skipped.
     pub fn dump(&self) -> Vec<RawSpan> {
-        let h = self.head.load(Ordering::Acquire);
-        let n = (h as usize).min(RING_CAP);
-        let start = h.wrapping_sub(n as u64);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let slot = &self.slots[((start.wrapping_add(i as u64)) as usize) & (RING_CAP - 1)];
-            let check = slot.check.load(Ordering::Acquire);
-            if check == 0 {
+        let head = self.head.load(Ordering::Acquire);
+        let start = head
+            .saturating_sub(self.slots.len() as u64)
+            .max(self.floor.load(Ordering::Acquire));
+        let mut out = Vec::with_capacity(head.saturating_sub(start) as usize);
+        for i in start..head {
+            let slot = self.slot(i);
+            if slot.seq.load(Ordering::Acquire) != 2 * i + 2 {
                 continue;
             }
             let t0 = slot.t0.load(Ordering::Relaxed);
             let dur = slot.dur.load(Ordering::Relaxed);
             let id = slot.id.load(Ordering::Relaxed);
             let meta = slot.meta.load(Ordering::Relaxed);
-            if check != t0 ^ dur ^ id ^ meta ^ CHECK_SEED {
-                continue; // torn by a racing wraparound write
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != 2 * i + 2 {
+                continue; // overwritten while we read it
             }
+            let lock = ((meta >> 8) as u8)
+                .checked_sub(1)
+                .and_then(LockEvent::from_u8);
             out.push(RawSpan {
                 t0,
-                dur,
+                dur: if lock.is_some() { 0 } else { dur },
                 id,
-                site: (meta >> 8) as usize,
+                site: (meta >> 16) as usize,
                 kind: SpanKind::from_code(meta & 0xFF),
+                lock: lock.map(|e| (e, dur)),
             });
         }
         out
     }
 
-    /// Invalidate every record (between-run hygiene).
+    /// Discard every record pushed so far. Raises the floor instead of
+    /// touching `head` or the slots, which belong to the owning thread.
     fn reset(&self) {
-        for s in self.slots.iter() {
-            s.check.store(0, Ordering::Release);
-        }
-        self.head.store(0, Ordering::Release);
+        let head = self.head.load(Ordering::Acquire);
+        self.floor.fetch_max(head, Ordering::Release);
     }
 }
 
@@ -341,12 +373,14 @@ pub struct RawSpan {
     pub t0: u64,
     /// Duration in ns (0 for instants).
     pub dur: u64,
-    /// Request trace id (nonzero).
+    /// Request trace id (0 for a lock event outside a sampled request).
     pub id: u64,
     /// Interned site id; resolve with [`site_name`].
     pub site: usize,
     /// How the span renders.
     pub kind: SpanKind,
+    /// For a lock event: the event and its arg.
+    pub lock: Option<(LockEvent, u64)>,
 }
 
 struct NamedRing {
@@ -361,7 +395,7 @@ fn rings() -> &'static Mutex<Vec<NamedRing>> {
 
 thread_local! {
     static LOCAL_RING: Arc<TraceRing> = {
-        let ring = Arc::new(TraceRing::new());
+        let ring = Arc::new(TraceRing::with_capacity(RING_CAP));
         let name = std::thread::current()
             .name()
             .map(str::to_owned)
@@ -382,10 +416,11 @@ thread_local! {
 
 #[inline]
 fn push_local(t0: u64, dur: u64, id: u64, site: &'static str, kind: SpanKind) {
-    LOCAL_RING.with(|r| r.push(t0, dur, id, intern(site), kind));
+    LOCAL_RING.with(|r| r.push(t0, dur, id, site, kind, None));
 }
 
-/// Invalidate every registered ring (between-run hygiene in benches).
+/// Discard every record in every registered ring (between-run hygiene in
+/// benches). Safe to race the rings' owners: it only raises their floors.
 pub fn reset_rings() {
     for nr in rings().lock().unwrap().iter() {
         nr.ring.reset();
@@ -455,6 +490,26 @@ pub fn instant(id: u64, site: &'static str) {
         return;
     }
     push_local(now_ns(), 0, id, site, SpanKind::Instant);
+}
+
+/// Record a lock event as an instant on the calling thread's ring,
+/// stamped with the current trace id or 0. Written whether or not
+/// sampling is on; the census sink and `Observed` gate it on
+/// [`crate::enabled`]. Exports as `<site>:<event>`.
+#[inline]
+pub fn lock_event(site: &'static str, event: LockEvent, arg: u64) {
+    // `try_with`: a lock released by a thread-local destructor may run
+    // after this thread's ring is gone; its event is dropped.
+    let _ = LOCAL_RING.try_with(|r| {
+        r.push(
+            now_ns(),
+            arg,
+            current(),
+            site,
+            SpanKind::Instant,
+            Some(event),
+        );
+    });
 }
 
 /// RAII sync span: records a nested "X" event from construction to drop.
@@ -629,7 +684,7 @@ impl<F: Future> Future for Traced<F> {
 /// One event ready for Chrome-trace rendering or integrity checking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExportEvent {
-    /// Span site name (Chrome `name`).
+    /// Span site name (Chrome `name`); `<site>:<event>` for a lock event.
     pub name: String,
     /// Track (thread) name.
     pub track: String,
@@ -643,6 +698,8 @@ pub struct ExportEvent {
     pub trace_id: u64,
     /// Span kind (selects the Chrome phase).
     pub kind: SpanKind,
+    /// For a lock-event instant: the event and its arg.
+    pub lock: Option<(LockEvent, u64)>,
 }
 
 /// Drain every registered ring into export events (oldest-first per ring).
@@ -650,18 +707,62 @@ pub fn export_events() -> Vec<ExportEvent> {
     let mut out = Vec::new();
     for (tid, nr) in rings().lock().unwrap().iter().enumerate() {
         for s in nr.ring.dump() {
+            let site = site_name(s.site);
             out.push(ExportEvent {
-                name: site_name(s.site).to_owned(),
+                name: match s.lock {
+                    Some((event, _)) => format!("{site}:{}", event.name()),
+                    None => site.to_owned(),
+                },
                 track: nr.name.clone(),
                 tid,
                 t0_ns: s.t0,
                 dur_ns: s.dur,
                 trace_id: s.id,
                 kind: s.kind,
+                lock: s.lock,
             });
         }
     }
     out
+}
+
+/// The flight recorder: every ring's lock events merged into one
+/// timeline, oldest first.
+pub fn lock_events() -> Vec<ExportEvent> {
+    let mut events: Vec<ExportEvent> = export_events()
+        .into_iter()
+        .filter(|e| e.lock.is_some())
+        .collect();
+    events.sort_by_key(|e| e.t0_ns);
+    events
+}
+
+/// [`lock_events`], one `<tick> <site> <event> <arg>` line each, ticks
+/// in ns on the trace clock.
+pub fn lock_events_text() -> String {
+    let events = lock_events();
+    let mut s = format!("# flight recorder: {} lock event(s)\n", events.len());
+    for e in &events {
+        let Some((event, arg)) = e.lock else { continue };
+        let site = e.name.rsplit_once(':').map_or(&*e.name, |(site, _)| site);
+        let _ = writeln!(s, "{:>12} {site} {} {arg}", e.t0_ns, event.name());
+    }
+    s
+}
+
+static LAST_TIMEOUT_DUMP: Mutex<Option<String>> = Mutex::new(None);
+
+/// Stores [`lock_events_text`] in the timeout mailbox (called on every
+/// `TimeoutAbort`; the newest dump wins).
+pub fn store_timeout_dump() {
+    let text = lock_events_text();
+    *LAST_TIMEOUT_DUMP.lock().unwrap() = Some(text);
+}
+
+/// Takes the dump captured at the most recent `try_lock_for` timeout, if
+/// any has happened since the last take.
+pub fn take_timeout_dump() -> Option<String> {
+    LAST_TIMEOUT_DUMP.lock().unwrap().take()
 }
 
 fn push_json_escaped(out: &mut String, s: &str) {
@@ -838,6 +939,7 @@ pub fn parse_chrome_json(doc: &str) -> Vec<ExportEvent> {
                     dur_ns: ns_of(dur),
                     trace_id: trace,
                     kind: SpanKind::Sync,
+                    lock: None,
                 });
             }
             "i" => {
@@ -857,6 +959,7 @@ pub fn parse_chrome_json(doc: &str) -> Vec<ExportEvent> {
                     dur_ns: 0,
                     trace_id: trace,
                     kind: SpanKind::Instant,
+                    lock: None,
                 });
             }
             "b" | "e" => {
@@ -888,6 +991,7 @@ pub fn parse_chrome_json(doc: &str) -> Vec<ExportEvent> {
                         dur_ns: ns_of(ts).saturating_sub(bts),
                         trace_id: trace,
                         kind: SpanKind::Async,
+                        lock: None,
                     });
                 }
             }
@@ -961,28 +1065,6 @@ pub fn check_well_formed(events: &[ExportEvent]) -> Vec<String> {
         }
     }
     errs
-}
-
-/// Render flight-recorder records as instant events on one synthetic
-/// track, so an existing [`crate::recorder::Recorder`] dump opens in the same
-/// Perfetto view as a request trace.
-///
-/// Recorder ticks are logical (monotone counter), not ns; they are used
-/// directly as timestamps so relative order is preserved.
-pub fn recorder_to_chrome(events: &[crate::recorder::RecordedEvent]) -> String {
-    let rendered: Vec<ExportEvent> = events
-        .iter()
-        .map(|e| ExportEvent {
-            name: format!("{}:{:?}", e.site, e.event),
-            track: "flight-recorder".to_owned(),
-            tid: 0,
-            t0_ns: e.tick_ns,
-            dur_ns: 0,
-            trace_id: e.arg,
-            kind: SpanKind::Instant,
-        })
-        .collect();
-    chrome_trace_json(&rendered)
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,13 +1166,28 @@ pub fn decompose_requests(events: &[ExportEvent]) -> Vec<RttDecomp> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::AtomicBool;
 
-    // Sampling state is process-global; every test that needs it on must
-    // restore it, and only this module's tests may touch it (the harness
-    // runs tests concurrently in one process).
-    struct SamplingGuard;
+    // Sampling state, the ring registry and the timeout mailbox are
+    // process-global, and the harness runs tests concurrently in one
+    // process: every test in this crate that turns sampling on, resets
+    // the rings or takes the mailbox holds this guard, which serializes
+    // those tests and turns sampling back off on drop.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    pub(crate) struct SamplingGuard {
+        _serial: std::sync::MutexGuard<'static, ()>,
+    }
+
+    pub(crate) fn sampling_guard() -> SamplingGuard {
+        SamplingGuard {
+            _serial: SERIAL.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
+
     impl Drop for SamplingGuard {
         fn drop(&mut self) {
             set_sampling(0, 0);
@@ -1099,6 +1196,7 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_cheap() {
+        let _guard = sampling_guard();
         assert!(!active());
         assert_eq!(sample_request(), 0);
         assert_eq!(current(), 0);
@@ -1117,10 +1215,9 @@ mod tests {
 
     #[test]
     fn ring_roundtrip_and_wraparound() {
-        let ring = TraceRing::new();
-        let site = intern("test.ring");
+        let ring = TraceRing::with_capacity(RING_CAP);
         for i in 0..(RING_CAP as u64 + 10) {
-            ring.push(i, 1, i + 1, site, SpanKind::Sync);
+            ring.push(i, 1, i + 1, "test.ring", SpanKind::Sync, None);
         }
         let spans = ring.dump();
         assert_eq!(spans.len(), RING_CAP);
@@ -1130,6 +1227,176 @@ mod tests {
         for w in spans.windows(2) {
             assert!(w[0].t0 < w[1].t0);
         }
+        assert!(spans.iter().all(|s| s.lock.is_none() && s.dur == 1));
+    }
+
+    #[test]
+    fn lock_events_roundtrip_site_event_and_arg() {
+        let ring = TraceRing::with_capacity(8);
+        let events = [
+            ("ring.lock.a", LockEvent::GrantWaiters, (1 << 48) - 1),
+            ("ring.lock.b", LockEvent::TimeoutAbort, 0),
+            ("ring.lock.a", LockEvent::Release, 3),
+        ];
+        for (t, &(site, event, arg)) in events.iter().enumerate() {
+            ring.push(t as u64, arg, 9, site, SpanKind::Instant, Some(event));
+        }
+        let dump = ring.dump();
+        assert_eq!(dump.len(), events.len());
+        for (r, &(site, event, arg)) in dump.iter().zip(&events) {
+            assert_eq!(site_name(r.site), site);
+            assert_eq!(r.lock, Some((event, arg)));
+            assert_eq!((r.kind, r.dur, r.id), (SpanKind::Instant, 0, 9));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// For any capacity and a write count at, just below or just
+        /// above a lap boundary, the dump holds exactly the newest
+        /// `min(written, capacity)` records, oldest first.
+        #[test]
+        fn wraparound_keeps_exactly_the_newest(
+            cap_log in 0u32..7,
+            laps in 0u64..4,
+            offset in -2i64..3,
+        ) {
+            let cap = 1u64 << cap_log;
+            let writes = (laps * cap).saturating_add_signed(offset);
+            let ring = TraceRing::with_capacity(cap as usize);
+            for i in 0..writes {
+                ring.push(i, i, 0, "prop-site", SpanKind::Instant, Some(LockEvent::Acquire));
+            }
+            let dump = ring.dump();
+            let kept = writes.min(cap);
+            let args: Vec<u64> = dump.iter().map(|r| r.lock.unwrap().1).collect();
+            prop_assert_eq!(args, (writes - kept..writes).collect::<Vec<_>>());
+            for r in &dump {
+                prop_assert_eq!(site_name(r.site), "prop-site");
+                prop_assert_eq!(r.lock.unwrap().0, LockEvent::Acquire);
+                prop_assert_eq!(r.t0, r.lock.unwrap().1);
+            }
+        }
+    }
+
+    #[test]
+    fn dump_racing_wraparound_never_splices_records() {
+        // A dumper hammers a tiny ring while its owner wraps it
+        // continuously, so most reads race an overwrite. Every field of a
+        // record is a function of its sequence number, so a record
+        // spliced from two writes cannot pass the checks below; the
+        // seqlock must have skipped it instead.
+        const CAP: usize = 4;
+        const WRITES: u64 = if cfg!(miri) { 300 } else { 200_000 };
+        let ring = TraceRing::with_capacity(CAP);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for n in 0..WRITES {
+                    let event = if n % 2 == 0 {
+                        LockEvent::Acquire
+                    } else {
+                        LockEvent::Release
+                    };
+                    ring.push(n, n * 3 + 1, !n, "wrap", SpanKind::Instant, Some(event));
+                }
+                stop.store(true, Ordering::Release);
+            });
+            let mut dumps = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                for r in ring.dump() {
+                    let n = r.t0;
+                    assert!(n < WRITES, "record {n} was never written");
+                    assert_eq!(site_name(r.site), "wrap", "spliced site");
+                    let event = r.lock.map(|(e, _)| e);
+                    let want = if n % 2 == 0 {
+                        LockEvent::Acquire
+                    } else {
+                        LockEvent::Release
+                    };
+                    assert_eq!(event, Some(want), "spliced event at {n}");
+                    assert_eq!(r.lock.unwrap().1, n * 3 + 1, "spliced arg at {n}");
+                    assert_eq!(r.id, !n, "spliced id at {n}");
+                }
+                dumps += 1;
+            }
+            assert!(dumps > 0);
+        });
+        // Quiescent after the race: the ring holds the newest CAP records.
+        let ts: Vec<u64> = ring.dump().iter().map(|r| r.t0).collect();
+        assert_eq!(ts, (WRITES - CAP as u64..WRITES).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn reset_rings_racing_pushes_keeps_only_post_reset_records() {
+        // `reset_rings` runs on this thread while an owner thread pushes
+        // lock events numbered by their ring index. A dump after a reset
+        // may hold only records pushed after it, and the owner's head is
+        // never lost to the reset.
+        let _guard = sampling_guard();
+        const PUSHES: u64 = if cfg!(miri) { 200 } else { 100_000 };
+        let pushed = &AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let owner = s.spawn(move || {
+                tx.send(LOCAL_RING.with(Arc::clone)).unwrap();
+                for n in 0..PUSHES {
+                    lock_event("test.reset_race", LockEvent::Release, n);
+                    pushed.store(n + 1, Ordering::Release);
+                }
+            });
+            let ring = rx.recv().unwrap();
+            let mut resets = 0u64;
+            while !owner.is_finished() {
+                let done = pushed.load(Ordering::Acquire);
+                reset_rings();
+                resets += 1;
+                for r in ring.dump() {
+                    let n = r.lock.unwrap().1;
+                    assert!(n >= done, "record {n} survived a reset after {done} pushes");
+                }
+            }
+            owner.join().unwrap();
+            assert!(resets > 0);
+            assert_eq!(ring.head.load(Ordering::Relaxed), PUSHES, "head lost");
+            // Quiescent: exactly the records above the last floor remain.
+            let floor = ring.floor.load(Ordering::Relaxed);
+            let start = floor.max(PUSHES.saturating_sub(RING_CAP as u64));
+            let args: Vec<u64> = ring.dump().iter().map(|r| r.lock.unwrap().1).collect();
+            assert_eq!(args, (start..PUSHES).collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
+    fn lock_events_export_as_site_event_instants() {
+        let _guard = sampling_guard();
+        reset_rings();
+        lock_event("test.lock", LockEvent::Acquire, 7);
+        set_sampling(1, 0);
+        scoped(5, || lock_event("test.lock", LockEvent::Release, 0));
+        let mine: Vec<ExportEvent> = lock_events()
+            .into_iter()
+            .filter(|e| e.name.starts_with("test.lock:"))
+            .collect();
+        let got: Vec<_> = mine
+            .iter()
+            .map(|e| (e.name.as_str(), e.trace_id, e.lock))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("test.lock:acquire", 0, Some((LockEvent::Acquire, 7))),
+                ("test.lock:release", 5, Some((LockEvent::Release, 0))),
+            ]
+        );
+        assert!(mine.iter().all(|e| e.kind == SpanKind::Instant));
+        let text = lock_events_text();
+        assert!(text.contains(" test.lock acquire 7\n"), "{text}");
+        let doc = chrome_trace_json(&mine);
+        assert!(doc.contains("\"name\":\"test.lock:acquire\""), "{doc}");
+        assert!(check_well_formed(&parse_chrome_json(&doc)).is_empty());
+        reset_rings();
     }
 
     #[test]
@@ -1150,6 +1417,7 @@ mod tests {
                 dur_ns: 9_500,
                 trace_id: 42,
                 kind: SpanKind::Async,
+                lock: None,
             },
             ExportEvent {
                 name: "net.decode".into(),
@@ -1159,6 +1427,7 @@ mod tests {
                 dur_ns: 300,
                 trace_id: 42,
                 kind: SpanKind::Sync,
+                lock: None,
             },
             ExportEvent {
                 name: "shard.lock_wait".into(),
@@ -1168,6 +1437,7 @@ mod tests {
                 dur_ns: 4_001,
                 trace_id: 42,
                 kind: SpanKind::Async,
+                lock: None,
             },
             ExportEvent {
                 name: "mark".into(),
@@ -1177,6 +1447,7 @@ mod tests {
                 dur_ns: 0,
                 trace_id: 42,
                 kind: SpanKind::Instant,
+                lock: None,
             },
         ];
         let doc = chrome_trace_json(&events);
@@ -1208,6 +1479,7 @@ mod tests {
                 dur_ns: 100,
                 trace_id: 1,
                 kind: SpanKind::Sync,
+                lock: None,
             },
             ExportEvent {
                 name: "b".into(),
@@ -1217,6 +1489,7 @@ mod tests {
                 dur_ns: 100,
                 trace_id: 1,
                 kind: SpanKind::Sync,
+                lock: None,
             },
         ];
         let errs = check_well_formed(&bad);
@@ -1226,7 +1499,7 @@ mod tests {
 
     #[test]
     fn sampling_selects_one_in_n_deterministically() {
-        let _guard = SamplingGuard;
+        let _guard = sampling_guard();
         set_sampling(4, 7);
         REQ_SEQ.store(0, Ordering::Relaxed);
         let picks: Vec<u64> = (0..16).map(|_| sample_request()).collect();
@@ -1242,7 +1515,7 @@ mod tests {
 
     #[test]
     fn spans_record_into_the_thread_ring() {
-        let _guard = SamplingGuard;
+        let _guard = sampling_guard();
         set_sampling(1, 0);
         reset_rings();
         {
@@ -1280,7 +1553,7 @@ mod tests {
 
     #[test]
     fn scoped_restores_previous_id() {
-        let _guard = SamplingGuard;
+        let _guard = sampling_guard();
         set_sampling(1, 0);
         assert_eq!(current(), 0);
         scoped(5, || {
@@ -1294,7 +1567,7 @@ mod tests {
     #[test]
     fn traced_future_sets_context_and_emits_suspend() {
         use core::future::poll_fn;
-        let _guard = SamplingGuard;
+        let _guard = sampling_guard();
         set_sampling(1, 0);
         reset_rings();
         let mut polls = 0;
@@ -1324,7 +1597,7 @@ mod tests {
 
     #[test]
     fn dropped_async_span_still_records() {
-        let _guard = SamplingGuard;
+        let _guard = sampling_guard();
         set_sampling(1, 0);
         reset_rings();
         let fut = traced(88, async {
@@ -1377,6 +1650,7 @@ mod tests {
             dur_ns: dur,
             trace_id: id,
             kind,
+            lock: None,
         };
         let events = vec![
             // Request 5: a combiner — holds the lock, serves its own ops.
@@ -1418,5 +1692,43 @@ mod tests {
         assert_eq!(d9.hold_ns, 120);
         assert_eq!(d9.queue_ns, 300);
         assert_eq!(d9.total_ns, 500);
+    }
+
+    #[test]
+    fn timeout_mailbox_stores_and_takes() {
+        let _guard = sampling_guard();
+        let _stale = take_timeout_dump();
+        lock_event("t", LockEvent::TimeoutAbort, 0);
+        store_timeout_dump();
+        let dump = take_timeout_dump().expect("dump stored");
+        assert!(dump.contains(" t timeout_abort 0\n"), "{dump}");
+        assert!(take_timeout_dump().is_none(), "a take empties the mailbox");
+    }
+
+    #[test]
+    fn decomposition_ignores_lock_instants() {
+        let ev = |name: &str, id: u64, t0: u64, dur: u64, kind: SpanKind| ExportEvent {
+            name: name.to_owned(),
+            track: "t".to_owned(),
+            tid: 0,
+            t0_ns: t0,
+            dur_ns: dur,
+            trace_id: id,
+            kind,
+            lock: None,
+        };
+        let lock = |id: u64, t0: u64| ExportEvent {
+            lock: Some((LockEvent::Acquire, 1)),
+            ..ev("Hemlock(obs):acquire", id, t0, 0, SpanKind::Instant)
+        };
+        let spans = vec![
+            ev("net.decode", 3, 0, 100, SpanKind::Sync),
+            ev("net.request", 3, 100, 900, SpanKind::Async),
+            ev("shard.lock_hold", 3, 200, 300, SpanKind::Async),
+        ];
+        let mut with_locks = spans.clone();
+        with_locks.extend([lock(0, 150), lock(0, 250), lock(0, 2_000)]);
+        assert_eq!(decompose_requests(&with_locks), decompose_requests(&spans));
+        assert!(decompose_requests(&[lock(0, 10)]).is_empty());
     }
 }

@@ -1,73 +1,58 @@
-//! Property tests for the flight-recorder ring: wraparound arithmetic
-//! over arbitrary capacity/write-count combinations, and torn-record
-//! freedom under concurrent writers (the checksum either validates a
-//! whole record or drops it — never a splice of two).
+//! Property test for the flight recorder through the public API: lock
+//! events recorded on a thread and read back with `trace::lock_events`
+//! keep exactly that thread's newest `trace::RING_CAP` events, oldest
+//! first, at every lap boundary of its ring.
 
 use hemlock_core::events::LockEvent;
-use hemlock_obs::recorder::Recorder;
+use hemlock_obs::trace::{self, RING_CAP};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Numbers the writer threads, so every case (shrink reruns included)
+/// writes into a ring of its own.
+static CASE: AtomicU64 = AtomicU64::new(0);
 
 proptest! {
-    /// For any capacity and write count, the dump holds exactly the last
-    /// `min(written, capacity)` records, oldest first — the wraparound
-    /// index arithmetic has no off-by-one at any boundary.
+    // Each case fills a fresh thread's ring, which stays registered for
+    // the life of the process; a few cases cover the lap boundaries.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// For a write count at, just below or just above a lap boundary,
+    /// the flight recorder holds exactly the newest
+    /// `min(written, RING_CAP)` events of the writing thread, oldest
+    /// first, with their site and event intact.
     #[test]
     fn wraparound_keeps_exactly_the_newest(
-        capacity in 1usize..70,
-        writes in 0u64..300,
+        laps in 0u64..3,
+        offset in -2i64..3,
     ) {
-        let r = Recorder::new(capacity);
-        for i in 0..writes {
-            r.record("prop-site", LockEvent::Acquire, i);
+        let cap = RING_CAP as u64;
+        let writes = (laps * cap).saturating_add_signed(offset);
+        // The ring belongs to a fresh thread with a name of its own, so
+        // the dump below can pick out exactly its events.
+        let name = format!("recorder-prop-{}", CASE.fetch_add(1, Ordering::Relaxed));
+        std::thread::Builder::new()
+            .name(name.clone())
+            .spawn(move || {
+                for i in 0..writes {
+                    trace::lock_event("prop-site", LockEvent::Acquire, i);
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let track = format!("{name}#");
+        let mine: Vec<_> = trace::lock_events()
+            .into_iter()
+            .filter(|e| e.track.starts_with(&track))
+            .collect();
+        let kept = writes.min(cap);
+        let args: Vec<u64> = mine.iter().map(|e| e.lock.unwrap().1).collect();
+        prop_assert_eq!(args, (writes - kept..writes).collect::<Vec<_>>());
+        for e in &mine {
+            prop_assert_eq!(&e.name, "prop-site:acquire");
+            prop_assert_eq!(e.lock.unwrap().0, LockEvent::Acquire);
         }
-        prop_assert_eq!(r.written(), writes);
-        let d = r.dump();
-        let kept = (writes as usize).min(r.capacity());
-        prop_assert_eq!(d.len(), kept);
-        let expect: Vec<u64> = (writes - kept as u64..writes).collect();
-        let got: Vec<u64> = d.iter().map(|e| e.arg).collect();
-        prop_assert_eq!(got, expect);
-        prop_assert!(d.windows(2).all(|w| w[0].tick_ns <= w[1].tick_ns));
-    }
-
-    /// Concurrent writers racing a concurrent dumper: every record the
-    /// dump returns decodes to something some thread actually wrote
-    /// (site/event/arg all consistent — the checksum rejects splices),
-    /// and a quiesced dump is full once the ring has wrapped.
-    #[test]
-    fn concurrent_writers_dump_is_never_torn(
-        threads in 2usize..5,
-        per in 100u64..800,
-    ) {
-        let r = Recorder::new(32);
-        // Thread t writes args tagged t in the high bits, so a torn
-        // ts/data splice would surface as an impossible (event, arg) pair.
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let r = &r;
-                s.spawn(move || {
-                    for i in 0..per {
-                        let arg = ((t as u64) << 32) | i;
-                        r.record("prop-writer", LockEvent::Release, arg);
-                    }
-                });
-            }
-            // Dump while the writers are live: only checksummed records.
-            for e in r.dump() {
-                prop_assert_eq!(e.event, LockEvent::Release);
-                prop_assert_eq!(e.site, "prop-writer");
-                let (t, i) = (e.arg >> 32, e.arg & 0xFFFF_FFFF);
-                prop_assert!(t < threads as u64);
-                prop_assert!(i < per);
-            }
-        });
-        prop_assert_eq!(r.written(), threads as u64 * per);
-        // Quiesced: the ring is full and every record validates.
-        let d = r.dump();
-        prop_assert_eq!(d.len(), r.capacity());
-        for e in d {
-            prop_assert_eq!(e.event, LockEvent::Release);
-            prop_assert!((e.arg >> 32) < threads as u64);
-        }
+        prop_assert!(mine.windows(2).all(|w| w[0].t0_ns <= w[1].t0_ns));
     }
 }

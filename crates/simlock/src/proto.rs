@@ -3,9 +3,10 @@
 //!
 //! The post-seed layers of this workspace (the `WakerSet` Dekker pair, the
 //! `WakerQueue` grant/cancel machinery, `ShardedTable::with_two`'s ordered
-//! acquire, `HemlockRw`'s drain/withdrawal, and the flat-combining
-//! publication-record lifecycle) are hand-rolled protocols that the paper
-//! does not verify for us. Each one is re-encoded here as a
+//! acquire, `HemlockRw`'s drain/withdrawal, the flat-combining
+//! publication-record lifecycle, and the trace ring's per-slot seqlock)
+//! are hand-rolled protocols that the paper does not verify for us. Each
+//! one is re-encoded here as a
 //! [`ProtocolSim`]: a deterministic state machine issuing one atomic
 //! operation per step against explicit shared words, exactly like
 //! `HemlockSim` models the lock itself — so `hemlock-model` can explore

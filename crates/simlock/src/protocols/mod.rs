@@ -14,15 +14,18 @@
 //! | [`twoshard`] | `hemlock-shard::table::with_two` | `with-two-ordered` |
 //! | [`rw`] | `hemlock-rw::hemlock_rw` drain/withdrawal | `hemlock-rw` |
 //! | [`fc`] | `hemlock-shard::batch` record lifecycle | `flat-combining` |
+//! | [`tracering`] | `hemlock-obs::trace` per-slot seqlock | `trace-ring` |
 
 pub mod fc;
 pub mod rw;
+pub mod tracering;
 pub mod twoshard;
 pub mod wakerqueue;
 pub mod wakerset;
 
 pub use fc::{FcBug, FcRole, FcSim, FcThread};
 pub use rw::{RwBug, RwRole, RwSim, RwThread};
+pub use tracering::{RingBug, RingThread, TraceRingSim};
 pub use twoshard::{ShardThread, TwoShardBug, TwoShardOp, TwoShardSim};
 pub use wakerqueue::{QueueBug, QueueRole, QueueThread, WakerQueueSim};
 pub use wakerset::{DekkerBug, DekkerSim, DekkerThread};

@@ -7,14 +7,15 @@
 //! direction: each deliberately-injected protocol bug (a skipped Dekker
 //! re-check, a dropped racing grant, an unordered two-shard acquire, a
 //! release mid-update, a skipped writer-flag check, a leaked read
-//! indicator, a DONE store deferred past the lock release) is caught by a
-//! named invariant or as a deadlock. The long-horizon seeded random walks
+//! indicator, a DONE store deferred past the lock release, a seqlock
+//! reader that skips its second sequence check) is caught by a named
+//! invariant or as a deadlock. The long-horizon seeded random walks
 //! (the `modelbench` CI job runs millions of steps) get a smoke test here.
 
 use hemlock_model::{check_proto_random_run, explore_proto, post_seed_scenarios};
 use hemlock_simlock::protocols::{
-    DekkerBug, DekkerSim, FcBug, FcRole, FcSim, QueueBug, QueueRole, RwBug, RwRole, RwSim,
-    TwoShardBug, TwoShardOp, TwoShardSim, WakerQueueSim,
+    DekkerBug, DekkerSim, FcBug, FcRole, FcSim, QueueBug, QueueRole, RingBug, RwBug, RwRole, RwSim,
+    TraceRingSim, TwoShardBug, TwoShardOp, TwoShardSim, WakerQueueSim,
 };
 use hemlock_simlock::{ProtoWorld, ProtocolSim};
 
@@ -235,6 +236,22 @@ fn fc_release_before_done_breaks_claim_discipline() {
         ),
         &["claimed-implies-locked"],
         "fc ReleaseBeforeDone",
+    );
+}
+
+#[test]
+fn trace_ring_skipped_second_check_accepts_torn_records() {
+    // Without the post-copy sequence re-check, a writer that laps the
+    // dumper between its two payload loads hands it half of one record
+    // and half of the next. The clean protocol explores exhaustively with
+    // no violation; the knob is caught by `no-torn-record`.
+    let clean = explore_proto(ProtoWorld::new(TraceRingSim::new(3, 2)), MAX_STATES);
+    assert!(clean.clean(), "{:?}", clean.violations);
+    assert!(clean.exhaustive, "state cap hit at {} states", clean.states);
+    assert_caught(
+        TraceRingSim::with_bug(3, 2, RingBug::SkipSecondCheck),
+        &["no-torn-record"],
+        "trace-ring SkipSecondCheck",
     );
 }
 
