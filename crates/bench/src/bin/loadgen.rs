@@ -20,7 +20,8 @@
 //! The in-process server runs with **combined burst dispatch** by
 //! default — each decoded pipeline burst becomes one
 //! `AsyncKv::apply_batch_async` call through the store's flat-combining
-//! layer; `--combine off` measures the per-op dispatch baseline instead.
+//! layer; `--combine off` measures the per-request baseline instead,
+//! one batch per request.
 //!
 //! Output: aligned table (default), or `--json` normalized
 //! bench-trajectory records (`bench: "loadgen.c<conns>.p<pipeline>"`,
@@ -381,8 +382,9 @@ fn main() {
     .value(
         "combine",
         "on|off (default on): in-process server dispatches each pipeline \
-         burst as one flat-combined batch; `on` adds a `.combined` \
-         bench-key suffix (with --addr it only labels the record)",
+         burst as one flat-combined batch, `off` one batch per request; \
+         `on` adds a `.combined` bench-key suffix (with --addr it only \
+         labels the record)",
     )
     .value(
         "obs",
@@ -487,7 +489,7 @@ fn main() {
         w.pipeline,
         addr,
         lock_name,
-        if combine { "combined" } else { "per-op" },
+        if combine { "combined" } else { "per-request" },
         runs,
         w.duration,
         w.keys,

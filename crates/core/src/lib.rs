@@ -134,7 +134,7 @@ pub use dynrw::{DynRwLock, DynRwMutex, DynRwReadGuard, DynRwWriteGuard};
 pub use meta::LockMeta;
 pub use mutex::{Mutex, MutexGuard, ReadGuard};
 pub use raw::{RawLock, RawRwLock, RawTryLock};
-pub use wakerset::WakerSet;
+pub use wakerset::{block_on, WakerSet};
 
 #[cfg(test)]
 mod proptests {

@@ -39,11 +39,24 @@
 //! at small scope; dropping either half of the pair
 //! (`DekkerBug::SkipRecheck` / `DekkerBug::NotifyBeforeRelease`) is
 //! caught as a lost wakeup.
+//!
+//! # Blocking on the same protocol
+//!
+//! [`block_on`] is how a *thread* waits on a `WakerSet`: it drives a
+//! future on the calling thread and parks between polls, with a waker
+//! that sets a flag and unparks. The synchronous batch paths
+//! (`ShardedTable::apply_batch`, `Db::apply_batch`) are exactly
+//! `block_on` of their asynchronous forms, so each batch has one
+//! implementation and one park protocol.
 
 use crate::hemlock::Hemlock;
 use crate::Mutex;
-use core::sync::atomic::{fence, AtomicUsize, Ordering};
-use core::task::{Context, Waker};
+use core::cell::Cell;
+use core::future::Future;
+use core::pin::Pin;
+use core::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use core::task::{Context, Poll, Waker};
+use std::sync::Arc;
 
 /// A compact registry of parked wakers, guarded by a one-word Hemlock
 /// lock. See the module docs for the protocol.
@@ -108,11 +121,107 @@ impl WakerSet {
     }
 }
 
+/// The flag-and-unpark half of [`block_on`]'s waker: a wake sets
+/// `notified` and unparks `thread`, which consumes the flag before its
+/// next poll.
+struct ThreadWaker {
+    thread: std::thread::Thread,
+    notified: AtomicBool,
+}
+
+impl std::task::Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.notified.store(true, Ordering::Release);
+        self.thread.unpark();
+    }
+}
+
+/// A thread's waker and the state its wakes set.
+struct CachedWaker {
+    state: Arc<ThreadWaker>,
+    waker: Waker,
+}
+
+impl CachedWaker {
+    fn new() -> Self {
+        let state = Arc::new(ThreadWaker {
+            thread: std::thread::current(),
+            notified: AtomicBool::new(false),
+        });
+        let waker = Waker::from(Arc::clone(&state));
+        Self { state, waker }
+    }
+}
+
+std::thread_local! {
+    /// The calling thread's waker, built on its first `block_on`.
+    static THREAD_WAKER: CachedWaker = CachedWaker::new();
+    /// Set while a `block_on` on this thread uses [`THREAD_WAKER`]. A
+    /// nested call then builds a waker of its own, so two loops never
+    /// consume each other's wakes.
+    static IN_USE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Clears [`IN_USE`] on every exit of the outermost `block_on`,
+/// unwinding too.
+struct Release;
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        IN_USE.with(|busy| busy.set(false));
+    }
+}
+
+/// Runs a future to completion on the current thread, parking between
+/// polls.
+///
+/// The waker is built once per thread and reused, which keeps a call that
+/// never parks to a few nanoseconds. A wake that arrives after a call
+/// returned — a registration left in a [`WakerSet`] by a future that then
+/// completed — costs the thread's next call one extra poll and is
+/// otherwise harmless.
+///
+/// ```
+/// use hemlock_core::block_on;
+///
+/// assert_eq!(block_on(async { 2 + 2 }), 4);
+/// ```
+#[inline]
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    let mut fut = core::pin::pin!(fut);
+    if IN_USE.with(|busy| busy.replace(true)) {
+        return run(fut, &CachedWaker::new());
+    }
+    let _release = Release;
+    match THREAD_WAKER.try_with(|waker| run(fut.as_mut(), waker)) {
+        Ok(out) => out,
+        // The cache is gone only while the thread's locals are torn down.
+        Err(_) => run(fut, &CachedWaker::new()),
+    }
+}
+
+/// The poll-park loop of [`block_on`], on the given waker.
+#[inline]
+fn run<F: Future>(mut fut: Pin<&mut F>, parker: &CachedWaker) -> F::Output {
+    let mut cx = Context::from_waker(&parker.waker);
+    loop {
+        if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+            return out;
+        }
+        while !parker.state.notified.swap(false, Ordering::Acquire) {
+            std::thread::park();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize as StdAtomicUsize;
-    use std::sync::Arc;
     use std::task::Wake;
 
     struct Counting(StdAtomicUsize);
@@ -149,6 +258,72 @@ mod tests {
         set.register(&Waker::from(Arc::clone(&f)));
         set.notify_all();
         assert_eq!(f.0.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn nested_block_on_takes_a_fresh_waker_and_the_outer_keeps_its_wake() {
+        // The outer future's own wake arrives *before* it runs a nested
+        // `block_on`. Sharing one waker, the inner loop would consume that
+        // wake and the outer call would park forever.
+        let mut outer_polls = 0;
+        let done = block_on(core::future::poll_fn(|cx| {
+            outer_polls += 1;
+            if outer_polls == 2 {
+                return Poll::Ready(true);
+            }
+            cx.waker().wake_by_ref();
+            let outer = cx.waker().clone();
+            let mut inner_polls = 0;
+            let inner_fresh = block_on(core::future::poll_fn(|icx| {
+                inner_polls += 1;
+                if inner_polls == 2 {
+                    return Poll::Ready(!icx.waker().will_wake(&outer));
+                }
+                icx.waker().wake_by_ref();
+                Poll::Pending
+            }));
+            assert!(inner_fresh, "the nested call shared the outer waker");
+            Poll::Pending
+        }));
+        assert!(done);
+        assert_eq!(outer_polls, 2);
+        // Both loops returned their wakers: a following call still works.
+        assert_eq!(block_on(async { 5 }), 5);
+    }
+
+    #[test]
+    fn stale_wake_from_a_finished_call_costs_one_poll_and_loses_nothing() {
+        let set = WakerSet::new();
+        // Call 1 registers the thread's waker, then finishes anyway: the
+        // registration stays in the set.
+        block_on(core::future::poll_fn(|cx| {
+            set.register_current(cx);
+            Poll::Ready(())
+        }));
+        assert_eq!(set.len(), 1);
+        let polls = StdAtomicUsize::new(0);
+        std::thread::scope(|s| {
+            block_on(core::future::poll_fn(|cx| {
+                match polls.fetch_add(1, Ordering::SeqCst) {
+                    0 => {
+                        // The stale registration fires during call 2 and
+                        // reaches call 2's waker.
+                        set.notify_all();
+                        Poll::Pending
+                    }
+                    1 => {
+                        // Polled again by the stale wake alone. Now arm
+                        // this call's own wake, from another thread.
+                        let own = cx.waker().clone();
+                        s.spawn(move || own.wake());
+                        Poll::Pending
+                    }
+                    _ => Poll::Ready(()),
+                }
+            }));
+        });
+        assert_eq!(polls.load(Ordering::SeqCst), 3);
+        assert!(set.is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! deliberately small, classic design:
 //!
 //! - [`block_on`] — drives one future on the current thread with a
-//!   park/unpark waker;
+//!   park/unpark waker (re-exported from `hemlock-core`);
 //! - [`TaskPool`] — `N` worker threads sharing one injector queue. Each
 //!   spawned task is an `Arc` that *is* its own [`Waker`]
 //!   (`std::task::Wake`); waking pushes the task back onto the queue. A
@@ -34,42 +34,15 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle as ThreadHandle;
 
 /// Runs a future to completion on the current thread, parking between
-/// polls.
+/// polls. Defined in `hemlock-core` next to the `WakerSet` it parks on,
+/// and re-exported here with the pool.
 ///
 /// ```
 /// use hemlock_harness::executor::block_on;
 ///
 /// assert_eq!(block_on(async { 2 + 2 }), 4);
 /// ```
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    struct Unparker {
-        thread: std::thread::Thread,
-        notified: AtomicBool,
-    }
-    impl Wake for Unparker {
-        fn wake(self: Arc<Self>) {
-            self.notified.store(true, Ordering::Release);
-            self.thread.unpark();
-        }
-    }
-    let unparker = Arc::new(Unparker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
-    let waker = Waker::from(Arc::clone(&unparker));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = std::pin::pin!(fut);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => {
-                while !unparker.notified.swap(false, Ordering::Acquire) {
-                    std::thread::park();
-                }
-            }
-        }
-    }
-}
+pub use hemlock_core::block_on;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 

@@ -95,7 +95,9 @@ unsafe impl<const SLOTS: usize> RawLock for AndersonLock<SLOTS> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    crate::baseline_tests!(super::AndersonLock<64>);
+    crate::baseline_tests!(super::AndersonLock<64>, arrival: |l| {
+        l.tail.load(std::sync::atomic::Ordering::Relaxed) as u64
+    });
 
     #[test]
     fn array_footprint_is_large() {

@@ -157,7 +157,7 @@ unsafe impl RawLock for ClhLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    crate::baseline_tests!(super::ClhLock);
+    crate::baseline_tests!(super::ClhLock, arrival: |l| l.tail_word() as u64);
 
     #[test]
     fn lock_body_is_two_words() {

@@ -50,9 +50,20 @@ pub use ticket::TicketLock;
 /// Shared conformance tests for baseline locks (mutual exclusion, handover,
 /// multi-lock usage). FIFO and trylock behaviour differ per algorithm and
 /// are tested in each module.
+///
+/// `arrival:` names a word of the lock that a waiter moves when it queues
+/// behind the holder; the handover test waits for it to move instead of
+/// sleeping. Locks whose waiters leave no trace until they win (TAS,
+/// TTAS) omit it.
 #[cfg(test)]
 macro_rules! baseline_tests {
     ($lock:ty) => {
+        $crate::baseline_tests!(@tests $lock, None);
+    };
+    ($lock:ty, arrival: $word:expr) => {
+        $crate::baseline_tests!(@tests $lock, Some($word));
+    };
+    (@tests $lock:ty, $arrival:expr) => {
         mod baseline {
             use hemlock_core::mutex::Mutex;
             use hemlock_core::raw::RawLock;
@@ -106,9 +117,11 @@ macro_rules! baseline_tests {
 
             #[test]
             fn handover_blocks_then_transfers() {
+                let arrival: Option<fn(&$lock) -> u64> = $arrival;
                 let l = Arc::new(<$lock>::default());
                 let stage = Arc::new(AtomicUsize::new(0));
                 l.lock();
+                let alone = arrival.map(|word| word(&l));
                 let t = {
                     let l = Arc::clone(&l);
                     let stage = Arc::clone(&stage);
@@ -122,7 +135,17 @@ macro_rules! baseline_tests {
                 while stage.load(Ordering::Acquire) < 1 {
                     std::hint::spin_loop();
                 }
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                match arrival {
+                    // The word moved: the waiter is queued behind us.
+                    Some(word) => {
+                        while Some(word(&l)) == alone {
+                            std::thread::yield_now();
+                        }
+                    }
+                    // Nothing records a spinning waiter; give it time to
+                    // reach its acquire attempt.
+                    None => std::thread::sleep(std::time::Duration::from_millis(10)),
+                }
                 assert_eq!(stage.load(Ordering::Acquire), 1);
                 unsafe { l.unlock() };
                 t.join().unwrap();

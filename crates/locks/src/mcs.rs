@@ -196,7 +196,7 @@ unsafe impl RawTryLock for McsLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    crate::baseline_tests!(super::McsLock);
+    crate::baseline_tests!(super::McsLock, arrival: |l| l.tail_word() as u64);
 
     #[test]
     fn lock_body_is_two_words() {

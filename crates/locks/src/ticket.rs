@@ -112,7 +112,7 @@ unsafe impl RawTryLock for TicketLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    crate::baseline_tests!(super::TicketLock);
+    crate::baseline_tests!(super::TicketLock, arrival: |l| l.arrivals());
 
     #[test]
     fn lock_body_is_two_words() {

@@ -129,8 +129,8 @@ pub struct Db<L: RawLock> {
     mem: Memtable<L>,
     /// Parked asynchronous waiters of the central mutex. Every guard
     /// release notifies (register → re-try → park on the waiter side), so
-    /// an `*_async` operation can await a freeze or compaction without a
-    /// lost wakeup — see [`hemlock_core::wakerset::WakerSet`].
+    /// a batch can await a freeze or compaction without a lost wakeup —
+    /// see [`hemlock_core::wakerset::WakerSet`].
     mu_wakers: WakerSet,
     stats: DbStats,
     opts: Options,
@@ -149,8 +149,8 @@ struct DbGuard<'a, L: RawLock> {
 }
 
 impl<'a, L: RawLock> DbGuard<'a, L> {
-    fn lock(db: &'a Db<L>) -> Self {
-        db.mu.lock();
+    /// Wraps an acquisition that just succeeded, counting it.
+    fn acquired(db: &'a Db<L>) -> Self {
         if let Some(reg) = obs() {
             reg.minikv_acquires.inc();
         }
@@ -160,21 +160,18 @@ impl<'a, L: RawLock> DbGuard<'a, L> {
         }
     }
 
+    fn lock(db: &'a Db<L>) -> Self {
+        db.mu.lock();
+        Self::acquired(db)
+    }
+
     /// Non-blocking constructor: `None` when the central mutex is busy
     /// (e.g. a compaction is running).
     fn try_lock(db: &'a Db<L>) -> Option<Self>
     where
         L: RawTryLock,
     {
-        db.mu.try_lock().then(|| {
-            if let Some(reg) = obs() {
-                reg.minikv_acquires.inc();
-            }
-            Self {
-                db,
-                _not_send: core::marker::PhantomData,
-            }
-        })
+        db.mu.try_lock().then(|| Self::acquired(db))
     }
 
     #[allow(clippy::mut_from_ref)]
@@ -189,7 +186,7 @@ impl<L: RawLock> Drop for DbGuard<'_, L> {
         // Safety: this guard acquired the lock on this thread.
         unsafe { self.db.mu.unlock() };
         // Release-then-notify: async waiters of the central mutex (e.g. a
-        // `get_async` behind this freeze) are woken only after the unlock
+        // batch's run snapshot behind this freeze) are woken only after the unlock
         // is visible, so their re-try cannot miss it.
         self.db.mu_wakers.notify_all();
     }
@@ -210,8 +207,8 @@ struct DbReadGuard<'a, L: RawLock> {
 }
 
 impl<'a, L: RawLock> DbReadGuard<'a, L> {
-    fn lock(db: &'a Db<L>) -> Self {
-        db.mu.read_lock();
+    /// Wraps a shared acquisition that just succeeded, counting it.
+    fn acquired(db: &'a Db<L>) -> Self {
         if let Some(reg) = obs() {
             reg.minikv_acquires.inc();
         }
@@ -221,6 +218,11 @@ impl<'a, L: RawLock> DbReadGuard<'a, L> {
         }
     }
 
+    fn lock(db: &'a Db<L>) -> Self {
+        db.mu.read_lock();
+        Self::acquired(db)
+    }
+
     /// Non-blocking constructor: one shared-mode attempt
     /// ([`hemlock_core::RawTryLock::try_read_lock`]); `None` when the
     /// central mutex is busy right now. The async read path polls this.
@@ -228,15 +230,7 @@ impl<'a, L: RawLock> DbReadGuard<'a, L> {
     where
         L: RawTryLock,
     {
-        db.mu.try_read_lock().then(|| {
-            if let Some(reg) = obs() {
-                reg.minikv_acquires.inc();
-            }
-            Self {
-                db,
-                _not_send: core::marker::PhantomData,
-            }
-        })
+        db.mu.try_read_lock().then(|| Self::acquired(db))
     }
 
     /// Timed constructor: `None` once `deadline` passes (the waiter has
@@ -246,15 +240,9 @@ impl<'a, L: RawLock> DbReadGuard<'a, L> {
     where
         L: RawTryLock,
     {
-        db.mu.try_read_lock_until(deadline).then(|| {
-            if let Some(reg) = obs() {
-                reg.minikv_acquires.inc();
-            }
-            Self {
-                db,
-                _not_send: core::marker::PhantomData,
-            }
-        })
+        db.mu
+            .try_read_lock_until(deadline)
+            .then(|| Self::acquired(db))
     }
 
     fn runs(&self) -> &Vec<Arc<Run>> {
@@ -314,6 +302,11 @@ impl<L: RawLock> Db<L> {
         if self.mem.approximate_bytes() >= self.opts.memtable_bytes {
             self.freeze_and_maybe_compact();
         }
+        self.count_write(t0, deleting);
+    }
+
+    /// Counts a completed point write that started at `t0`.
+    fn count_write(&self, t0: Option<Instant>, deleting: bool) {
         self.stats.puts.fetch_add(1, Ordering::Relaxed);
         if let (Some(reg), Some(t0)) = (obs(), t0) {
             if deleting {
@@ -323,6 +316,22 @@ impl<L: RawLock> Db<L> {
             }
             reg.minikv_put_ns.record(elapsed_ns(t0));
         }
+    }
+
+    /// Counts a completed point lookup that started at `t0`.
+    fn count_get(&self, t0: Option<Instant>) {
+        self.stats.gets.fetch_add(1, Ordering::Relaxed);
+        if let (Some(reg), Some(t0)) = (obs(), t0) {
+            reg.minikv_gets.inc();
+            reg.minikv_get_ns.record(elapsed_ns(t0));
+        }
+    }
+
+    /// Searches a run-list snapshot newest first, outside any lock: the
+    /// tier-2 half of every read path.
+    fn search_runs(snapshot: &[Arc<Run>], key: &[u8]) -> Option<Vec<u8>> {
+        let slot = snapshot.iter().find_map(|run| run.get(key))?;
+        slot.as_deref().map(<[u8]>::to_vec)
     }
 
     /// Structural transition under the central mutex: drain the memtable
@@ -381,29 +390,15 @@ impl<L: RawLock> Db<L> {
         // central mutex until the run is installed, so a tier-1 miss
         // always finds the key in the tier-2 snapshot taken afterwards.
         if let Some(value) = self.mem.get_vec(key) {
-            self.stats.gets.fetch_add(1, Ordering::Relaxed);
-            if let (Some(reg), Some(t0)) = (obs(), t0) {
-                reg.minikv_gets.inc();
-                reg.minikv_get_ns.record(elapsed_ns(t0));
-            }
+            self.count_get(t0);
             return value;
         }
         // Tier 2: snapshot run handles under the central mutex in *read*
         // mode (shared among concurrent getters when the lock is
         // RW-capable), search outside it — LevelDB's `Get` shape.
         let snapshot: Vec<Arc<Run>> = DbReadGuard::lock(self).runs().clone();
-        let mut result = None;
-        for run in &snapshot {
-            if let Some(slot) = run.get(key) {
-                result = slot.as_ref().map(|v| v.to_vec());
-                break;
-            }
-        }
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let (Some(reg), Some(t0)) = (obs(), t0) {
-            reg.minikv_gets.inc();
-            reg.minikv_get_ns.record(elapsed_ns(t0));
-        }
+        let result = Self::search_runs(&snapshot, key);
+        self.count_get(t0);
         result
     }
 
@@ -428,11 +423,7 @@ impl<L: RawLock> Db<L> {
             }
         })?;
         if let Some(value) = tier1 {
-            self.stats.gets.fetch_add(1, Ordering::Relaxed);
-            if let (Some(reg), Some(t0)) = (obs(), t0) {
-                reg.minikv_gets.inc();
-                reg.minikv_get_ns.record(elapsed_ns(t0));
-            }
+            self.count_get(t0);
             return Ok(value);
         }
         // Tier 2: a bounded read-mode snapshot of the run handles. A
@@ -447,18 +438,8 @@ impl<L: RawLock> Db<L> {
                 return Err(WouldBlock);
             }
         };
-        let mut result = None;
-        for run in &snapshot {
-            if let Some(slot) = run.get(key) {
-                result = slot.as_ref().map(|v| v.to_vec());
-                break;
-            }
-        }
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let (Some(reg), Some(t0)) = (obs(), t0) {
-            reg.minikv_gets.inc();
-            reg.minikv_get_ns.record(elapsed_ns(t0));
-        }
+        let result = Self::search_runs(&snapshot, key);
+        self.count_get(t0);
         Ok(result)
     }
 
@@ -504,143 +485,24 @@ impl<L: RawLock> Db<L> {
                 self.freeze_locked(&mut g);
             }
         }
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        if let (Some(reg), Some(t0)) = (obs(), t0) {
-            if deleting {
-                reg.minikv_deletes.inc();
-            } else {
-                reg.minikv_puts.inc();
-            }
-            reg.minikv_put_ns.record(elapsed_ns(t0));
-        }
+        self.count_write(t0, deleting);
         Ok(())
     }
 
-    /// Awaits an exclusive central-mutex acquisition: the fast path is one
-    /// trylock; a busy mutex (freeze, compaction, another structural
-    /// transition) parks the task in the central [`WakerSet`] until a
-    /// guard release notifies.
-    async fn central_lock_async(&self) -> DbGuard<'_, L>
-    where
-        L: RawTryLock,
-    {
-        std::future::poll_fn(|cx| match DbGuard::try_lock(self) {
-            Some(g) => Poll::Ready(g),
-            None => {
-                self.mu_wakers.register_current(cx);
-                match DbGuard::try_lock(self) {
-                    Some(g) => Poll::Ready(g),
-                    None => Poll::Pending,
-                }
+    /// Awaits a central-mutex acquisition by `try_acquire` — exclusive
+    /// ([`DbGuard::try_lock`]) or shared for run-list snapshots
+    /// ([`DbReadGuard::try_lock`]). The fast path is one attempt; a busy
+    /// mutex (freeze, compaction, another structural transition) parks the
+    /// task in the central [`WakerSet`] until a guard release notifies.
+    async fn central_async<'a, G>(&'a self, try_acquire: impl Fn(&'a Self) -> Option<G>) -> G {
+        std::future::poll_fn(|cx| {
+            if let Some(g) = try_acquire(self) {
+                return Poll::Ready(g);
             }
+            self.mu_wakers.register_current(cx);
+            try_acquire(self).map_or(Poll::Pending, Poll::Ready)
         })
         .await
-    }
-
-    /// Awaits a shared (read-mode) central-mutex acquisition, for run-list
-    /// snapshots. With an RW-capable `L`, concurrent async snapshotters
-    /// are admitted together.
-    async fn central_read_async(&self) -> DbReadGuard<'_, L>
-    where
-        L: RawTryLock,
-    {
-        std::future::poll_fn(|cx| match DbReadGuard::try_lock(self) {
-            Some(g) => Poll::Ready(g),
-            None => {
-                self.mu_wakers.register_current(cx);
-                match DbReadGuard::try_lock(self) {
-                    Some(g) => Poll::Ready(g),
-                    None => Poll::Pending,
-                }
-            }
-        })
-        .await
-    }
-
-    /// Asynchronous [`Db::get`]: the same two-tier probe, but a busy lock
-    /// anywhere on the path — the owning memtable shard, or the central
-    /// mutex held by a freeze/compaction — suspends the *task* instead of
-    /// stalling a thread or bailing out with [`WouldBlock`]. No guard ever
-    /// lives across a suspension point, so the returned future is `Send`
-    /// and cancel-safe.
-    pub async fn get_async(&self, key: &[u8]) -> Option<Vec<u8>>
-    where
-        L: RawTryLock,
-    {
-        // Tier 1: the memtable, awaiting the owning shard in read mode.
-        // Probe order matters exactly as in `get`: a freeze migrates keys
-        // memtable→runs while holding the central mutex, so a tier-1 miss
-        // always finds the key in the tier-2 snapshot awaited afterwards.
-        if let Some(value) = self.mem.get_vec_async(key).await {
-            self.stats.gets.fetch_add(1, Ordering::Relaxed);
-            if let Some(reg) = obs() {
-                reg.minikv_gets.inc();
-            }
-            return value;
-        }
-        // Tier 2: await a read-mode snapshot of the run handles — this is
-        // the wait that used to be `WouldBlock`: a compaction holding the
-        // central mutex now parks this task and wakes it on release.
-        let snapshot: Vec<Arc<Run>> = {
-            let g = self.central_read_async().await;
-            g.runs().clone()
-        };
-        let mut result = None;
-        for run in &snapshot {
-            if let Some(slot) = run.get(key) {
-                result = slot.as_ref().map(|v| v.to_vec());
-                break;
-            }
-        }
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(reg) = obs() {
-            reg.minikv_gets.inc();
-        }
-        result
-    }
-
-    /// Asynchronous [`Db::put`]: awaits the owning memtable shard, and —
-    /// unlike [`Db::try_put`], which *defers* a tripped freeze — **awaits
-    /// the freeze/compaction** when the write trips the byte budget,
-    /// parking the task until the central mutex is free and then running
-    /// the structural transition itself.
-    pub async fn put_async(&self, key: &[u8], value: &[u8])
-    where
-        L: RawTryLock,
-    {
-        self.write_slot_async(key, Some(value.into())).await;
-    }
-
-    /// Asynchronous [`Db::delete`] (tombstone write), with [`Db::put_async`]
-    /// semantics.
-    pub async fn delete_async(&self, key: &[u8])
-    where
-        L: RawTryLock,
-    {
-        self.write_slot_async(key, None).await;
-    }
-
-    async fn write_slot_async(&self, key: &[u8], value: Slot)
-    where
-        L: RawTryLock,
-    {
-        if let Some(reg) = obs() {
-            if value.is_none() {
-                reg.minikv_deletes.inc();
-            } else {
-                reg.minikv_puts.inc();
-            }
-        }
-        self.mem.insert_async(key, value).await;
-        if self.mem.approximate_bytes() >= self.opts.memtable_bytes {
-            // Await the central mutex instead of skipping (try_put) or
-            // blocking a thread (put): the freeze runs as soon as whatever
-            // holds the mutex releases it. The guard is created and
-            // dropped between suspension points, on one thread.
-            let mut g = self.central_lock_async().await;
-            self.freeze_locked(&mut g);
-        }
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds the memtable tier's batch answers into positional
@@ -699,13 +561,7 @@ impl<L: RawLock> Db<L> {
         out: &mut [KvResult],
     ) {
         for &i in misses {
-            let key = ops[i].key();
-            for run in snapshot {
-                if let Some(slot) = run.get(key) {
-                    out[i] = KvResult::Value(slot.as_ref().map(|v| v.to_vec()));
-                    break;
-                }
-            }
+            out[i] = KvResult::Value(Self::search_runs(snapshot, ops[i].key()));
         }
     }
 
@@ -716,8 +572,8 @@ impl<L: RawLock> Db<L> {
     ///
     /// - **one shard-lock acquisition per shard touched** — the memtable
     ///   pass goes through the sharded table's flat-combining layer
-    ///   ([`hemlock_shard::ShardedTable::apply_batch`]), so a contended
-    ///   shard is serviced by whichever thread holds it;
+    ///   ([`hemlock_shard::ShardedTable::apply_batch_async`]), so a
+    ///   contended shard is serviced by whichever thread holds it;
     /// - **one central-mutex read acquisition** for all the gets that
     ///   missed tier 1 (a single run-list snapshot, searched outside the
     ///   lock), instead of one per missing get;
@@ -730,35 +586,30 @@ impl<L: RawLock> Db<L> {
     /// snapshot we take afterwards. Deletes are tombstone writes in tier 1
     /// and a tombstone hit never falls through to the runs, so a delete in
     /// this batch shadows older run entries exactly like [`Db::delete`].
+    ///
+    /// This is [`block_on`](hemlock_core::block_on) of
+    /// [`Db::apply_batch_async`]: a busy shard or central mutex parks the
+    /// calling thread on the same `WakerSet`s an async task parks on.
     pub fn apply_batch(&self, ops: &[KvOp]) -> Vec<KvResult>
     where
         L: RawTryLock,
     {
-        if let Some(reg) = obs() {
-            reg.minikv_batch_size.record(ops.len() as u64);
-        }
-        let mem = self.mem.apply_batch(ops);
-        let (mut out, misses) = self.batch_fold_memtable(ops, mem);
-        if !misses.is_empty() {
-            let snapshot: Vec<Arc<Run>> = DbReadGuard::lock(self).runs().clone();
-            Self::batch_search_runs(ops, &misses, &snapshot, &mut out);
-        }
-        if ops.iter().any(KvOp::is_write)
-            && self.mem.approximate_bytes() >= self.opts.memtable_bytes
-        {
-            self.freeze_and_maybe_compact();
-        }
-        out
+        hemlock_core::block_on(self.apply_batch_async(ops))
     }
 
     /// Asynchronous [`Db::apply_batch`]: the same amortization, but every
     /// wait — a contended memtable shard (the batch parks on its posted
     /// publication record until a combiner services it), the central mutex
     /// for the run snapshot, or a tripped freeze — suspends the task, not
-    /// a thread. No guard lives across a suspension point, so the future
-    /// is `Send`, and cancellation is safe: a batch whose posted ops were
-    /// not yet claimed withdraws them (nothing applied); once a combiner
-    /// claimed a shard's group that group lands atomically.
+    /// a thread. A tripped freeze is **awaited and run**, never deferred
+    /// as [`Db::try_put`] defers it. No guard lives across a suspension
+    /// point, so the future is `Send`, and cancellation is safe: a batch
+    /// whose posted ops were not yet claimed withdraws them (nothing
+    /// applied); once a combiner claimed a shard's group that group lands
+    /// atomically.
+    ///
+    /// This is the one asynchronous data path: an asynchronous point
+    /// operation is a batch of one.
     pub async fn apply_batch_async(&self, ops: &[KvOp]) -> Vec<KvResult>
     where
         L: RawTryLock,
@@ -771,16 +622,17 @@ impl<L: RawLock> Db<L> {
         let mem = self.mem.apply_batch_async(ops).await;
         let (mut out, misses) = self.batch_fold_memtable(ops, mem);
         if !misses.is_empty() {
-            let snapshot: Vec<Arc<Run>> = {
-                let g = self.central_read_async().await;
-                g.runs().clone()
-            };
+            let snapshot = self
+                .central_async(DbReadGuard::try_lock)
+                .await
+                .runs()
+                .clone();
             Self::batch_search_runs(ops, &misses, &snapshot, &mut out);
         }
         if ops.iter().any(KvOp::is_write)
             && self.mem.approximate_bytes() >= self.opts.memtable_bytes
         {
-            let mut g = self.central_lock_async().await;
+            let mut g = self.central_async(DbGuard::try_lock).await;
             self.freeze_locked(&mut g);
         }
         drop(span);
@@ -826,23 +678,17 @@ pub type BoxKvFuture<'a, T> = core::pin::Pin<Box<dyn core::future::Future<Output
 /// the lock at runtime (`kvserver --lock async.hemlock`) cannot name `L`
 /// in its types. This trait erases it: every `Db<L>` whose lock can back
 /// the async paths ([`hemlock_core::RawTryLock`]) is an `AsyncKv`, and the
-/// server dispatches wire ops through `Arc<dyn AsyncKv>`. The methods
-/// mirror `Db::{get,put,delete}_async` exactly — a busy shard or a
+/// server dispatches wire ops through `Arc<dyn AsyncKv>`. Its one data
+/// method is [`Db::apply_batch_async`] — a busy shard or a
 /// freeze/compaction holding the central mutex suspends the calling task,
 /// never an OS thread, which is what makes task-per-connection serving
-/// safe on a small `TaskPool`.
+/// safe on a small `TaskPool`. A point operation is a batch of one.
 pub trait AsyncKv: Send + Sync {
-    /// Asynchronous point lookup ([`Db::get_async`]).
-    fn get_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, Option<Vec<u8>>>;
-    /// Asynchronous insert/overwrite ([`Db::put_async`]).
-    fn put_async<'a>(&'a self, key: &'a [u8], value: &'a [u8]) -> BoxKvFuture<'a, ()>;
-    /// Asynchronous delete ([`Db::delete_async`]).
-    fn delete_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, ()>;
     /// Applies a positional batch in one pass ([`Db::apply_batch_async`]):
     /// one shard acquisition per shard touched (flat-combined under
     /// contention), one run snapshot for all tier-1 misses, one freeze
     /// check. The server feeds each decoded pipeline burst here as a unit
-    /// instead of spawning per-op futures.
+    /// (or, with combining off, each request as a batch of one).
     fn apply_batch_async<'a>(&'a self, ops: &'a [KvOp]) -> BoxKvFuture<'a, Vec<KvResult>>;
     /// Completed-operation counters (shared with the sync paths).
     fn stats(&self) -> &DbStats;
@@ -851,21 +697,9 @@ pub trait AsyncKv: Send + Sync {
 }
 
 impl<L: RawTryLock> AsyncKv for Db<L> {
-    fn get_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, Option<Vec<u8>>> {
-        // Inherent methods win resolution, so these call the concrete
-        // `Db` futures, not this trait recursively.
-        Box::pin(self.get_async(key))
-    }
-
-    fn put_async<'a>(&'a self, key: &'a [u8], value: &'a [u8]) -> BoxKvFuture<'a, ()> {
-        Box::pin(self.put_async(key, value))
-    }
-
-    fn delete_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, ()> {
-        Box::pin(self.delete_async(key))
-    }
-
     fn apply_batch_async<'a>(&'a self, ops: &'a [KvOp]) -> BoxKvFuture<'a, Vec<KvResult>> {
+        // Inherent methods win resolution, so this calls the concrete
+        // `Db` future, not this trait recursively.
         Box::pin(self.apply_batch_async(ops))
     }
 
@@ -892,16 +726,38 @@ mod tests {
         }
     }
 
+    // Asynchronous point operations are one-op batches of these.
+    fn get_op(key: &[u8]) -> KvOp {
+        KvOp::Get(key.to_vec())
+    }
+
+    fn put_op(key: &[u8], value: &[u8]) -> KvOp {
+        KvOp::Put(key.to_vec(), value.to_vec())
+    }
+
+    fn del_op(key: &[u8]) -> KvOp {
+        KvOp::Delete(key.to_vec())
+    }
+
     #[test]
     fn async_kv_trait_object_roundtrip() {
         // The erased surface must hit the same store as the concrete one.
         let db: Arc<Db<Hemlock>> = Arc::new(Db::new(tiny_opts()));
         let kv: Arc<dyn AsyncKv> = Arc::clone(&db).into_async_kv();
         hemlock_harness::executor::block_on(async {
-            kv.put_async(b"k", b"v").await;
-            assert_eq!(kv.get_async(b"k").await, Some(b"v".to_vec()));
-            kv.delete_async(b"k").await;
-            assert_eq!(kv.get_async(b"k").await, None);
+            assert_eq!(
+                kv.apply_batch_async(&[put_op(b"k", b"v")]).await,
+                [KvResult::Done]
+            );
+            assert_eq!(
+                kv.apply_batch_async(&[get_op(b"k")]).await,
+                [KvResult::Value(Some(b"v".to_vec()))]
+            );
+            kv.apply_batch_async(&[del_op(b"k")]).await;
+            assert_eq!(
+                kv.apply_batch_async(&[get_op(b"k")]).await,
+                [KvResult::Value(None)]
+            );
         });
         assert_eq!(db.get(b"k"), None);
         assert_eq!(AsyncKv::stats(&*kv).puts.load(Ordering::Relaxed), 2);
@@ -1139,11 +995,20 @@ mod tests {
         }
         let db: Db<Hemlock> = Db::new(tiny_opts());
         block_on(async {
-            assert_send(db.put_async(b"a", b"1")).await;
-            assert_eq!(assert_send(db.get_async(b"a")).await, Some(b"1".to_vec()));
-            assert_send(db.delete_async(b"a")).await;
-            assert_eq!(db.get_async(b"a").await, None);
-            assert_eq!(db.get_async(b"missing").await, None);
+            assert_send(db.apply_batch_async(&[put_op(b"a", b"1")])).await;
+            assert_eq!(
+                assert_send(db.apply_batch_async(&[get_op(b"a")])).await,
+                [KvResult::Value(Some(b"1".to_vec()))]
+            );
+            assert_send(db.apply_batch_async(&[del_op(b"a")])).await;
+            assert_eq!(
+                db.apply_batch_async(&[get_op(b"a")]).await,
+                [KvResult::Value(None)]
+            );
+            assert_eq!(
+                db.apply_batch_async(&[get_op(b"missing")]).await,
+                [KvResult::Value(None)]
+            );
         });
         assert_eq!(db.stats().puts.load(Ordering::Relaxed), 2);
         assert_eq!(db.stats().gets.load(Ordering::Relaxed), 3);
@@ -1157,17 +1022,17 @@ mod tests {
             // Far past the 512-byte budget: the tripped freezes must RUN
             // (awaited), not be deferred as try_put does.
             for i in 0..100u32 {
-                db.put_async(format!("key{i:05}").as_bytes(), &[0u8; 32])
+                db.apply_batch_async(&[put_op(format!("key{i:05}").as_bytes(), &[0u8; 32])])
                     .await;
             }
         });
         assert!(db.run_count() > 0, "awaited freezes must have run");
         block_on(async {
             for i in (0..100u32).step_by(13) {
-                assert!(db
-                    .get_async(format!("key{i:05}").as_bytes())
-                    .await
-                    .is_some());
+                let out = db
+                    .apply_batch_async(&[get_op(format!("key{i:05}").as_bytes())])
+                    .await;
+                assert!(matches!(out[..], [KvResult::Value(Some(_))]));
             }
         });
     }
@@ -1188,15 +1053,15 @@ mod tests {
             pool.spawn(async move {
                 // Misses the memtable -> must await the run snapshot,
                 // parking (not spinning a worker) behind the "compaction".
-                db.get_async(b"key00000-missing").await
+                db.apply_batch_async(&[get_op(b"key00000-missing")]).await
             })
         };
         std::thread::sleep(Duration::from_millis(30));
-        assert!(!h.is_finished(), "get_async must wait for the mutex");
+        assert!(!h.is_finished(), "the async get must wait for the mutex");
         // Safety: held by this thread since the lock() above.
         unsafe { db.mu.unlock() };
         db.mu_wakers.notify_all(); // what a DbGuard drop would have done
-        assert_eq!(h.join(), None);
+        assert_eq!(h.join(), [KvResult::Value(None)]);
     }
 
     #[test]
@@ -1210,10 +1075,11 @@ mod tests {
                 pool.spawn(async move {
                     for i in 0..300u32 {
                         let key = format!("async{t}k{i:05}");
-                        db.put_async(key.as_bytes(), &i.to_be_bytes()).await;
+                        db.apply_batch_async(&[put_op(key.as_bytes(), &i.to_be_bytes())])
+                            .await;
                         assert_eq!(
-                            db.get_async(key.as_bytes()).await,
-                            Some(i.to_be_bytes().to_vec())
+                            db.apply_batch_async(&[get_op(key.as_bytes())]).await,
+                            [KvResult::Value(Some(i.to_be_bytes().to_vec()))]
                         );
                     }
                 })

@@ -155,36 +155,6 @@ impl<L: RawLock> Memtable<L> {
         }
     }
 
-    /// Asynchronous [`Memtable::insert`]: awaits the owning shard instead
-    /// of spinning a thread on it. The byte-budget delta is charged inside
-    /// the shard critical section, exactly as the synchronous path, so a
-    /// racing drain can never double-count.
-    pub async fn insert_async(&self, key: &[u8], value: Slot)
-    where
-        L: RawTryLock,
-    {
-        let vlen = value.as_ref().map_or(0, |v| v.len());
-        self.map
-            .update_async(key.into(), |slot| {
-                let delta = insert_delta(key, vlen, slot.as_ref());
-                *slot = Some(value);
-                self.approx_bytes.fetch_add(delta, Ordering::Relaxed);
-            })
-            .await;
-    }
-
-    /// Asynchronous [`Memtable::get_vec`]: the shard is awaited in read
-    /// mode, so RW-capable algorithms admit concurrent async probes
-    /// together.
-    pub async fn get_vec_async(&self, key: &[u8]) -> Option<Option<Vec<u8>>>
-    where
-        L: RawTryLock,
-    {
-        self.map
-            .with_async(key, |slot| slot.map(|s| s.as_deref().map(<[u8]>::to_vec)))
-            .await
-    }
-
     /// Lowers a [`KvOp`] batch onto the sharded table's vocabulary. A
     /// `Delete` becomes a tombstone *write* (`Put(key, None)`), never a
     /// [`TableOp::Remove`]: removing the entry would resurrect whatever an
@@ -227,24 +197,13 @@ impl<L: RawLock> Memtable<L> {
     }
 
     /// Applies a [`KvOp`] batch through the sharded table's flat-combining
-    /// layer ([`ShardedTable::apply_batch`]): one lock acquisition per
-    /// shard touched, posted to a combiner when the shard is contended.
-    /// Results are positional and in the raw table vocabulary — the caller
-    /// ([`crate::Db`]) distinguishes a memtable miss (`Value(None)`) from a
-    /// tombstone hit (`Value(Some(None))`) to decide which gets still need
-    /// the run tier.
-    pub fn apply_batch(&self, ops: &[KvOp]) -> Vec<TableResult<Slot>>
-    where
-        L: RawTryLock,
-    {
-        let lowered = Self::lower_batch(ops);
-        let results = self.map.apply_batch(&lowered);
-        self.charge_batch(&lowered, &results);
-        results
-    }
-
-    /// Asynchronous [`Memtable::apply_batch`]: a contended shard parks the
-    /// task on its posted record instead of the thread.
+    /// layer ([`ShardedTable::apply_batch_async`]): one lock acquisition
+    /// per shard touched, posted to a combiner when the shard is
+    /// contended, and a contended shard parks the task on its posted
+    /// record, not the thread. Results are positional and in the raw table
+    /// vocabulary — the caller ([`crate::Db`]) distinguishes a memtable
+    /// miss (`Value(None)`) from a tombstone hit (`Value(Some(None))`) to
+    /// decide which gets still need the run tier.
     pub async fn apply_batch_async(&self, ops: &[KvOp]) -> Vec<TableResult<Slot>>
     where
         L: RawTryLock,
@@ -378,7 +337,7 @@ mod tests {
                 }
             }
         }
-        let results = batched.apply_batch(&ops);
+        let results = hemlock_core::block_on(batched.apply_batch_async(&ops));
         assert_eq!(batched.approximate_bytes(), point.approximate_bytes());
         assert!(batched.approximate_bytes() > 0);
         // Positional answers: the get sees the shrunken overwrite.

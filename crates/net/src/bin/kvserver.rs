@@ -64,7 +64,7 @@ fn main() {
     .value(
         "combine",
         "on|off (default on): dispatch each pipeline burst as one \
-         flat-combined batch instead of per-op",
+         flat-combined batch; `off` dispatches one batch per request",
     )
     .value(
         "obs",
@@ -135,7 +135,7 @@ fn main() {
         entry.meta.name,
         server.local_addr(),
         pool.workers(),
-        if combine { "combined" } else { "per-op" },
+        if combine { "combined" } else { "per-request" },
         if secs > 0.0 {
             format!(", for {secs}s")
         } else {

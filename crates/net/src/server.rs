@@ -45,8 +45,9 @@ pub struct ServerOptions {
     /// Dispatch each decoded pipeline burst as **one**
     /// [`AsyncKv::apply_batch_async`] call (the flat-combined path: one
     /// shard acquisition per shard touched, one run snapshot for all the
-    /// misses) instead of awaiting one future per request. On by
-    /// default; `loadgen --combine off` measures the per-op baseline.
+    /// misses). Off means one batch per request: each request is awaited
+    /// as a batch of one, through the same path. On by default;
+    /// `loadgen --combine off` measures the per-request baseline.
     pub combine: bool,
 }
 
@@ -243,34 +244,26 @@ async fn serve_conn(
             hemlock_obs::registry().net_inflight.add(batched as i64);
             std::time::Instant::now()
         });
-        if opts.combine {
-            // The decoded burst IS the batch: one `apply_batch_async`
-            // call amortizes the whole read's lock work (flat-combined
-            // shard passes, one run snapshot, one freeze check) instead
-            // of paying it once per request. `traced` re-arms the
-            // thread's trace context on every poll (the pool migrates
-            // tasks between workers) and attributes inter-poll gaps to
-            // `task.suspend`.
-            if trace::traced(trace_id, dispatch_burst(&*kv, &mut reqs, &mut outbuf))
-                .await
-                .is_err()
-            {
-                return served;
-            }
-        } else {
-            let dispatched = trace::traced(trace_id, async {
+        // Combined, the decoded burst IS the batch: one
+        // `apply_batch_async` call amortizes the whole read's lock work
+        // (flat-combined shard passes, one run snapshot, one freeze check)
+        // instead of paying it once per request. Uncombined, each request
+        // is a batch of one. `traced` re-arms the thread's trace context
+        // on every poll (the pool migrates tasks between workers) and
+        // attributes inter-poll gaps to `task.suspend`.
+        let dispatched = trace::traced(trace_id, async {
+            if opts.combine {
+                dispatch_burst(&*kv, reqs.drain(..), &mut outbuf).await
+            } else {
                 for req in reqs.drain(..) {
-                    let resp = dispatch(&*kv, req).await;
-                    if encode_response(&resp, &mut outbuf).is_err() {
-                        return Err(());
-                    }
+                    dispatch_burst(&*kv, [req], &mut outbuf).await?;
                 }
                 Ok(())
-            })
-            .await;
-            if dispatched.is_err() {
-                return served;
             }
+        })
+        .await;
+        if dispatched.is_err() {
+            return served;
         }
         if let Some(t0) = t0 {
             let reg = hemlock_obs::registry();
@@ -335,22 +328,21 @@ fn trace_json() -> String {
     }
 }
 
-/// Executes one decoded pipeline burst as a single batch: converts the
-/// KV requests to [`KvOp`]s (pings are answered in place), feeds them to
-/// [`AsyncKv::apply_batch_async`] as one unit, and encodes the
-/// positional results back in request order. `Err` means an encode
-/// failure — fatal to the connection, like the per-op path.
+/// Executes a run of decoded requests as a single batch: converts the
+/// KV requests to [`KvOp`]s (pings, stats and trace requests are answered
+/// in place), feeds them to [`AsyncKv::apply_batch_async`] as one unit,
+/// and encodes the positional results back in request order. This is the
+/// server's only Request→Response mapping. `Err` means an encode failure,
+/// fatal to the connection.
 async fn dispatch_burst(
     kv: &dyn AsyncKv,
-    reqs: &mut Vec<Request>,
+    reqs: impl IntoIterator<Item = Request>,
     outbuf: &mut Vec<u8>,
 ) -> Result<(), ()> {
-    if reqs.is_empty() {
-        return Ok(());
-    }
-    let mut pending = Vec::with_capacity(reqs.len());
-    let mut ops = Vec::with_capacity(reqs.len());
-    for req in reqs.drain(..) {
+    let reqs = reqs.into_iter();
+    let mut pending = Vec::with_capacity(reqs.size_hint().0);
+    let mut ops = Vec::with_capacity(reqs.size_hint().0);
+    for req in reqs {
         match <(u64, KvOp)>::try_from(req) {
             Ok((id, op)) => {
                 pending.push(Pending::Op(id));
@@ -361,7 +353,13 @@ async fn dispatch_burst(
             Err(other) => pending.push(Pending::Ping(other.id())),
         }
     }
-    let mut results = kv.apply_batch_async(&ops).await.into_iter();
+    // Requests without a KV op (pings, stats, trace) leave the store alone.
+    let mut results = if ops.is_empty() {
+        Vec::new()
+    } else {
+        kv.apply_batch_async(&ops).await
+    }
+    .into_iter();
     // Encoding is sync within one poll, so it may carry a nested span.
     let enc = trace::SyncSpan::start(trace::current(), "net.encode");
     for p in pending {
@@ -386,33 +384,4 @@ async fn dispatch_burst(
     }
     drop(enc);
     Ok(())
-}
-
-/// Executes one request against the store. Infallible by construction —
-/// [`Response::Err`] exists for wire completeness, but the in-memory
-/// `Db` cannot fail an operation.
-async fn dispatch(kv: &dyn AsyncKv, req: Request) -> Response {
-    match req {
-        Request::Get { id, key } => match kv.get_async(&key).await {
-            Some(value) => Response::Value { id, value },
-            None => Response::NotFound { id },
-        },
-        Request::Put { id, key, value } => {
-            kv.put_async(&key, &value).await;
-            Response::Ok { id }
-        }
-        Request::Delete { id, key } => {
-            kv.delete_async(&key).await;
-            Response::Ok { id }
-        }
-        Request::Ping { id } => Response::Pong { id },
-        Request::Stats { id } => Response::Stats {
-            id,
-            text: stats_text(),
-        },
-        Request::Trace { id } => Response::Trace {
-            id,
-            json: trace_json(),
-        },
-    }
 }

@@ -1584,7 +1584,7 @@ pub(crate) mod tests {
                 }
             }),
         );
-        block_on_inline(fut);
+        hemlock_core::block_on(fut);
         assert_eq!(take_polled_trace(), 77);
         assert_eq!(take_polled_trace(), 0);
         let suspends = export_events()
@@ -1625,19 +1625,6 @@ pub(crate) mod tests {
         fn nop(_: *const ()) {}
         static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, nop, nop, nop);
         unsafe { Waker::from_raw(RawWaker::new(core::ptr::null(), &VTABLE)) }
-    }
-
-    /// Minimal inline block_on for tests (obs cannot depend on harness).
-    fn block_on_inline<F: Future>(fut: F) -> F::Output {
-        let mut fut = Box::pin(fut);
-        let waker = noop_waker();
-        let mut cx = Context::from_waker(&waker);
-        loop {
-            if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
-                return v;
-            }
-            std::thread::yield_now();
-        }
     }
 
     #[test]

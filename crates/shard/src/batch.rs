@@ -51,10 +51,11 @@
 //! guard drop, and every guard drop already notifies the table's
 //! [`WakerSet`](hemlock_core::wakerset::WakerSet) — the same
 //! release-then-notify protocol the `*_async` point ops rely on.
-//! Asynchronous posters park their task waker there; synchronous posters
-//! park their *thread* there through an unpark-on-wake
-//! [`Wake`](std::task::Wake) adapter, so both populations wait on a
-//! posted op without spinning.
+//! Asynchronous posters park their task waker there. The synchronous
+//! [`ShardedTable::apply_batch`] is [`block_on`] of the asynchronous one,
+//! so a synchronous poster parks its *thread* there through the same
+//! code: there is one batch implementation, and neither population spins
+//! on a posted op.
 //!
 //! Cancellation safety follows the PR-5 contract: dropping a pending
 //! [`ShardedTable::apply_batch_async`] future withdraws its posted
@@ -70,7 +71,7 @@ use core::sync::atomic::{AtomicU8, Ordering};
 use core::task::Poll;
 use hemlock_core::hemlock::Hemlock;
 use hemlock_core::raw::{RawLock, RawTryLock};
-use hemlock_core::Mutex;
+use hemlock_core::{block_on, Mutex};
 use hemlock_obs::trace;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -250,16 +251,6 @@ impl<K, V, L: RawLock> Drop for PostSlot<'_, K, V, L> {
     }
 }
 
-/// Wakes a parked *thread*: the adapter that lets synchronous batch
-/// posters share the table's [`WakerSet`] with async tasks.
-struct Unparker(std::thread::Thread);
-
-impl std::task::Wake for Unparker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
 impl<K, V, L> ShardedTable<K, V, L>
 where
     K: Hash + Eq + Clone + Send + Sync,
@@ -281,7 +272,8 @@ where
     /// group on the shard's publication list and parks the thread; the
     /// current lock holder's batch path (or this thread, when it wins
     /// the next acquisition) services it. See the module docs for the
-    /// combining protocol.
+    /// combining protocol. This is [`block_on`] of
+    /// [`Self::apply_batch_async`].
     ///
     /// ```
     /// use hemlock_core::hemlock::Hemlock;
@@ -300,16 +292,7 @@ where
     /// ]);
     /// ```
     pub fn apply_batch(&self, ops: &[TableOp<K, V>]) -> Vec<TableResult<V>> {
-        let mut out: Vec<Option<TableResult<V>>> = ops.iter().map(|_| None).collect();
-        for (idx, ixs) in self.group_by_shard(ops) {
-            let results = self.shard_batch_sync(idx, ops, &ixs);
-            for (slot, r) in ixs.into_iter().zip(results) {
-                out[slot] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every op belongs to exactly one shard group"))
-            .collect()
+        block_on(self.apply_batch_async(ops))
     }
 
     /// Asynchronous [`Self::apply_batch`]: parks the *task* (not a
@@ -324,7 +307,15 @@ where
     pub async fn apply_batch_async(&self, ops: &[TableOp<K, V>]) -> Vec<TableResult<V>> {
         let mut out: Vec<Option<TableResult<V>>> = ops.iter().map(|_| None).collect();
         for (idx, ixs) in self.group_by_shard(ops) {
-            let results = self.shard_batch_async(idx, ops, &ixs).await;
+            let mut slot = PostSlot {
+                table: self,
+                idx,
+                rec: None,
+            };
+            let results = match self.batch_step(&mut slot, ops, &ixs) {
+                Some(out) => out,
+                None => self.await_posted(slot, ops, &ixs).await,
+            };
             for (slot, r) in ixs.into_iter().zip(results) {
                 out[slot] = Some(r);
             }
@@ -348,54 +339,20 @@ where
         groups
     }
 
-    /// One shard group, synchronously: trylock fast path, else post and
-    /// park the thread (register → re-check → park, the lost-wakeup-free
-    /// `WakerSet` protocol).
-    fn shard_batch_sync(
-        &self,
-        idx: usize,
-        ops: &[TableOp<K, V>],
-        ixs: &[usize],
-    ) -> Vec<TableResult<V>> {
-        let mut slot = PostSlot {
-            table: self,
-            idx,
-            rec: None,
-        };
-        if let Some(out) = self.batch_step(&mut slot, ops, ixs) {
-            return out;
-        }
-        let waker = core::task::Waker::from(Arc::new(Unparker(std::thread::current())));
-        loop {
-            self.wakerset().register(&waker);
-            if let Some(out) = self.batch_step(&mut slot, ops, ixs) {
-                return out;
-            }
-            std::thread::park();
-        }
-    }
-
-    /// One shard group, asynchronously: the same step function, parked
-    /// on the task's waker. The `PostSlot` drop guard is what withdraws
+    /// Parks the task until the shard group posted in `slot` is done:
+    /// register → re-check → park, the lost-wakeup-free `WakerSet`
+    /// protocol. Every poll registers before its one step, so a wake
+    /// costs one trylock. The `PostSlot` drop guard is what withdraws
     /// the record if the future is dropped mid-wait.
-    async fn shard_batch_async(
+    async fn await_posted(
         &self,
-        idx: usize,
+        mut slot: PostSlot<'_, K, V, L>,
         ops: &[TableOp<K, V>],
         ixs: &[usize],
     ) -> Vec<TableResult<V>> {
-        let mut slot = PostSlot {
-            table: self,
-            idx,
-            rec: None,
-        };
         let mut waiter = trace::Waiter::new();
+        waiter.arm(trace::current());
         std::future::poll_fn(move |cx| {
-            if let Some(out) = self.batch_step(&mut slot, ops, ixs) {
-                waiter.finish("shard.lock_wait");
-                return Poll::Ready(out);
-            }
-            waiter.arm(trace::current());
             self.wakerset().register_current(cx);
             match self.batch_step(&mut slot, ops, ixs) {
                 Some(out) => {

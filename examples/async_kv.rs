@@ -4,9 +4,10 @@
 //!
 //! - an [`AsyncMutex`] protecting shared state, with a cancel-safe `lock()`
 //!   future (dropping it withdraws the pending acquisition);
-//! - minikv's `Db::{put_async, get_async}`: operations that *await* a
-//!   freeze/compaction holding the central mutex instead of stalling a
-//!   thread or returning `WouldBlock`;
+//! - minikv's `Db::apply_batch_async`, here with one-op batches (an
+//!   asynchronous point operation is a batch of one): operations that
+//!   *await* a freeze/compaction holding the central mutex instead of
+//!   stalling a thread or returning `WouldBlock`;
 //! - the in-tree executor (`block_on` + `TaskPool`) — no external runtime.
 //!
 //! Run with: `cargo run --release --example async_kv`
@@ -14,7 +15,7 @@
 use hemlock_async::AsyncMutex;
 use hemlock_core::hemlock::Hemlock;
 use hemlock_harness::executor::{block_on, TaskPool};
-use hemlock_minikv::{Db, Options};
+use hemlock_minikv::{Db, KvOp, KvResult, Options};
 use std::sync::Arc;
 
 fn main() {
@@ -39,15 +40,16 @@ fn main() {
                     let key = format!("task{t:03}-key{i:03}");
                     // A tripped byte budget makes this *await* the freeze
                     // (and any compaction) rather than skip or block.
-                    db.put_async(key.as_bytes(), &i.to_be_bytes()).await;
+                    let put = [KvOp::Put(key.into_bytes(), i.to_be_bytes().to_vec())];
+                    db.apply_batch_async(&put).await;
                     *total_puts.lock().await += 1;
                 }
                 // Read own writes back through the async read path.
                 for i in (0..per_task).step_by(17) {
-                    let key = format!("task{t:03}-key{i:03}");
+                    let get = [KvOp::Get(format!("task{t:03}-key{i:03}").into_bytes())];
                     assert_eq!(
-                        db.get_async(key.as_bytes()).await,
-                        Some(i.to_be_bytes().to_vec())
+                        db.apply_batch_async(&get).await,
+                        [KvResult::Value(Some(i.to_be_bytes().to_vec()))]
                     );
                 }
             })
