@@ -256,7 +256,13 @@ impl TaskPool {
 
 impl Drop for TaskPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Set under the queue lock: a worker between its shutdown
+            // check and its wait holds that lock, so it cannot miss the
+            // notify below and sleep through the shutdown.
+            let _q = self.shared.queue.lock().expect("pool queue");
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -463,5 +469,26 @@ mod tests {
             std::thread::yield_now();
         };
         assert_eq!(v, 5);
+    }
+
+    #[test]
+    fn dropping_an_idle_pool_never_strands_its_worker() {
+        // Staggered drops sweep the window between a worker's shutdown
+        // check and its wait on the queue. The loop runs on a helper
+        // thread so that a drop stuck joining its worker fails the test
+        // instead of hanging it.
+        let (done, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for i in 0..20_000u32 {
+                let pool = TaskPool::new(1);
+                for _ in 0..i % 3_000 {
+                    std::hint::spin_loop();
+                }
+                drop(pool);
+            }
+            done.send(()).expect("test thread waits");
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a TaskPool drop hung joining its worker");
     }
 }

@@ -44,6 +44,9 @@ use hemlock_shard::TableStats;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Immutable runs, newest first: what a run-list snapshot holds.
+type RunList = Vec<Arc<Run>>;
+
 /// A bounded-wait operation gave up: the lock it needed (a memtable shard
 /// or the central run-list mutex) stayed busy — typically behind a freeze
 /// or compaction — past the caller's timeout. Nothing was read or written;
@@ -123,8 +126,11 @@ pub struct DbStats {
 pub struct Db<L: RawLock> {
     /// Central mutex: guards `runs` and serializes freeze/compaction.
     mu: L,
-    /// Immutable runs, newest first. Only touched while holding `mu`.
-    runs: UnsafeCell<Vec<Arc<Run>>>,
+    /// Immutable runs, newest first. Only touched while holding `mu`. The
+    /// list itself is shared: a reader's snapshot is one `Arc` clone, and
+    /// freeze/compaction edit it through `Arc::make_mut`, which copies the
+    /// list first while any snapshot of it is still held.
+    runs: UnsafeCell<Arc<RunList>>,
     /// Sharded active memtable; synchronizes itself per shard.
     mem: Memtable<L>,
     /// Parked asynchronous waiters of the central mutex. Every guard
@@ -174,10 +180,12 @@ impl<'a, L: RawLock> DbGuard<'a, L> {
         db.mu.try_lock().then(|| Self::acquired(db))
     }
 
-    #[allow(clippy::mut_from_ref)]
-    fn runs(&mut self) -> &mut Vec<Arc<Run>> {
-        // Safety: we hold the central mutex.
-        unsafe { &mut *self.db.runs.get() }
+    /// The run list, for editing. Copy-on-write: a list some snapshot
+    /// still holds is copied before the edit, so a held snapshot never
+    /// changes under its reader.
+    fn runs_mut(&mut self) -> &mut RunList {
+        // Safety: we hold the central mutex exclusively.
+        Arc::make_mut(unsafe { &mut *self.db.runs.get() })
     }
 }
 
@@ -245,11 +253,12 @@ impl<'a, L: RawLock> DbReadGuard<'a, L> {
             .then(|| Self::acquired(db))
     }
 
-    fn runs(&self) -> &Vec<Arc<Run>> {
+    /// A snapshot of the run list: one reference-count increment.
+    fn snapshot(&self) -> Arc<RunList> {
         // Safety: we hold the central mutex in read mode — mutators
         // (freeze/compaction) hold it exclusively, and every concurrent
         // read-mode holder only takes `&` references.
-        unsafe { &*self.db.runs.get() }
+        Arc::clone(unsafe { &*self.db.runs.get() })
     }
 }
 
@@ -266,7 +275,7 @@ impl<L: RawLock> Db<L> {
     pub fn new(opts: Options) -> Self {
         Self {
             mu: L::default(),
-            runs: UnsafeCell::new(Vec::new()),
+            runs: UnsafeCell::new(Arc::new(Vec::new())),
             mem: Memtable::with_shards(opts.mem_shards),
             mu_wakers: WakerSet::new(),
             stats: DbStats::default(),
@@ -352,7 +361,7 @@ impl<L: RawLock> Db<L> {
         if drained.is_empty() {
             return;
         }
-        let runs = g.runs();
+        let runs = g.runs_mut();
         runs.insert(0, Arc::new(Run::from_sorted(drained)));
         self.stats.freezes.fetch_add(1, Ordering::Relaxed);
         if let Some(reg) = obs() {
@@ -396,7 +405,7 @@ impl<L: RawLock> Db<L> {
         // Tier 2: snapshot run handles under the central mutex in *read*
         // mode (shared among concurrent getters when the lock is
         // RW-capable), search outside it — LevelDB's `Get` shape.
-        let snapshot: Vec<Arc<Run>> = DbReadGuard::lock(self).runs().clone();
+        let snapshot = DbReadGuard::lock(self).snapshot();
         let result = Self::search_runs(&snapshot, key);
         self.count_get(t0);
         result
@@ -429,8 +438,8 @@ impl<L: RawLock> Db<L> {
         // Tier 2: a bounded read-mode snapshot of the run handles. A
         // compaction holding the central mutex makes this return
         // WouldBlock instead of stalling the reader behind it.
-        let snapshot: Vec<Arc<Run>> = match DbReadGuard::try_lock_until(self, deadline) {
-            Some(g) => g.runs().clone(),
+        let snapshot = match DbReadGuard::try_lock_until(self, deadline) {
+            Some(g) => g.snapshot(),
             None => {
                 if let Some(reg) = obs() {
                     reg.minikv_stalls.inc();
@@ -622,11 +631,7 @@ impl<L: RawLock> Db<L> {
         let mem = self.mem.apply_batch_async(ops).await;
         let (mut out, misses) = self.batch_fold_memtable(ops, mem);
         if !misses.is_empty() {
-            let snapshot = self
-                .central_async(DbReadGuard::try_lock)
-                .await
-                .runs()
-                .clone();
+            let snapshot = self.central_async(DbReadGuard::try_lock).await.snapshot();
             Self::batch_search_runs(ops, &misses, &snapshot, &mut out);
         }
         if ops.iter().any(KvOp::is_write)
@@ -639,9 +644,15 @@ impl<L: RawLock> Db<L> {
         out
     }
 
+    /// The current run list, newest first: one read-mode acquisition of
+    /// the central mutex and one `Arc` clone.
+    fn snapshot(&self) -> Arc<RunList> {
+        DbReadGuard::lock(self).snapshot()
+    }
+
     /// Number of immutable runs (tests/diagnostics).
     pub fn run_count(&self) -> usize {
-        DbReadGuard::lock(self).runs().len()
+        self.snapshot().len()
     }
 
     /// This database as an [`AsyncKv`] trait object — the hand-off point
@@ -658,12 +669,7 @@ impl<L: RawLock> Db<L> {
     /// Total entries across memtable and runs, counting shadowed duplicates
     /// (diagnostics).
     pub fn entry_count(&self) -> usize {
-        DbReadGuard::lock(self)
-            .runs()
-            .iter()
-            .map(|r| r.len())
-            .sum::<usize>()
-            + self.mem.len()
+        self.snapshot().iter().map(|r| r.len()).sum::<usize>() + self.mem.len()
     }
 }
 
@@ -801,6 +807,52 @@ mod tests {
         // Spot-check visibility after compactions.
         for i in (0..2000u32).step_by(97) {
             assert!(db.get(format!("key{i:05}").as_bytes()).is_some());
+        }
+    }
+
+    #[test]
+    fn held_run_list_snapshot_survives_freeze_and_compaction_unchanged() {
+        let db: Db<Hemlock> = Db::new(tiny_opts());
+        let key = |i: u32| format!("key{i:05}").into_bytes();
+        for i in 0..200 {
+            db.put(&key(i), b"old");
+        }
+        let held = db.snapshot();
+        assert!(!held.is_empty(), "need runs to hold");
+        let runs_before: Vec<(*const Run, usize)> =
+            held.iter().map(|r| (Arc::as_ptr(r), r.len())).collect();
+        let reads_before: Vec<_> = (0..200)
+            .map(|i| Db::<Hemlock>::search_runs(&held, &key(i)))
+            .collect();
+        assert!(reads_before.iter().any(Option::is_some));
+
+        // Overwrite every key and push past enough freezes that the
+        // oldest runs are merged away.
+        let stats = db.stats();
+        let (freezes, compactions) = (
+            stats.freezes.load(Ordering::Relaxed),
+            stats.compactions.load(Ordering::Relaxed),
+        );
+        for i in 0..2000 {
+            db.put(&key(i), b"new");
+        }
+        assert!(stats.freezes.load(Ordering::Relaxed) > freezes);
+        assert!(stats.compactions.load(Ordering::Relaxed) > compactions);
+
+        // The database moved on to a list of its own...
+        assert!(!Arc::ptr_eq(&held, &db.snapshot()));
+        assert_eq!(db.get(&key(0)), Some(b"new".to_vec()));
+        // ...and the held list still names the same runs with the same
+        // contents.
+        let runs_after: Vec<(*const Run, usize)> =
+            held.iter().map(|r| (Arc::as_ptr(r), r.len())).collect();
+        assert_eq!(runs_after, runs_before);
+        for (i, before) in (0..200).zip(&reads_before) {
+            assert_eq!(
+                &Db::<Hemlock>::search_runs(&held, &key(i)),
+                before,
+                "key{i:05}"
+            );
         }
     }
 

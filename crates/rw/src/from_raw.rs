@@ -254,7 +254,11 @@ mod tests {
                 unsafe { l.unlock() };
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // Wait until the writer has arrived (it holds the gate and is
+        // draining the readers) instead of sleeping on spawn timing.
+        while l.gate.is_locked_hint() != Some(true) {
+            std::thread::yield_now();
+        }
         assert!(
             !writer_in.load(Ordering::Acquire),
             "writer must wait for the reader"

@@ -351,7 +351,12 @@ mod tests {
                 unsafe { l.unlock() };
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // Wait until the writer has arrived (it has raised its write
+        // phase and is draining the readers) instead of sleeping on spawn
+        // timing.
+        while l.wflag.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
         assert!(
             !writer_in.load(Ordering::Acquire),
             "writer must wait for the reader to drain"
